@@ -1,10 +1,11 @@
 // bench_hotpath — the SIMD / scheduling regression harness.
 //
 // Measures the three vectorized hot paths (dense primitives, get_hermitian,
-// CG solve) with the scalar and SIMD KernelPath side by side, plus the
-// static vs nnz-guided epoch schedule on a power-law dataset, and writes a
-// machine-readable BENCH_hotpath.json for tools/bench_compare.py and the CI
-// perf-smoke gate. See docs/performance.md for how to read the numbers.
+// CG solve) with the scalar and SIMD KernelPath side by side, each against
+// the measured one-core roof of this host, plus the static vs nnz-guided
+// epoch schedule on a power-law dataset, and writes a machine-readable
+// BENCH_hotpath.json for tools/bench_compare.py and the CI perf-smoke gate.
+// See docs/performance.md for how to read the numbers.
 //
 // Usage: bench_hotpath [--quick] [--out PATH]
 //   --quick  shrink repetitions and the schedule dataset (CI smoke)
@@ -22,6 +23,7 @@
 #include "common/rng.hpp"
 #include "common/stopwatch.hpp"
 #include "core/als.hpp"
+#include "core/solver.hpp"
 #include "data/generator.hpp"
 #include "half/half.hpp"
 #include "half/half_simd.hpp"
@@ -50,8 +52,56 @@ struct KernelRow {
 using bench::g_sink;
 using bench::time_ns;
 
+/// One timed chain-block of the host roof: kChains independent vf16
+/// accumulators, each step acc = acc·m + c. That is the kernels' own
+/// multiply-then-add expression form, so it compiles to the instruction
+/// they issue (an FMA on hosts that have one). Returns ns per call.
+template <std::size_t kChains>
+double time_roof_chains(double min_seconds, std::size_t steps) {
+  return time_ns(
+      [steps] {
+        // Locals, not captures: nothing aliases them, so the chains stay in
+        // registers for the whole loop.
+        simd::vf16 acc[kChains];
+        for (std::size_t k = 0; k < kChains; ++k) {
+          acc[k] = simd::vf16::broadcast(1.0f + 1e-3f * static_cast<float>(k));
+        }
+        // acc → c/(1−m) = 1: values stay normal however long the loop runs.
+        const simd::vf16 m = simd::vf16::broadcast(0.999f);
+        const simd::vf16 c = simd::vf16::broadcast(0.001f);
+        for (std::size_t s = 0; s < steps; ++s) {
+          CUMF_UNROLL
+          for (std::size_t k = 0; k < kChains; ++k) {
+            acc[k] = acc[k] * m + c;
+          }
+        }
+        float sum = 0.0f;
+        for (const auto& a : acc) {
+          sum += a.lane(0);
+        }
+        g_sink = sum;
+      },
+      min_seconds, 4);
+}
+
+/// Measured peak 16-lane multiply-add GFLOPS of one core of this host (2
+/// flops per lane per step): the best of 4, 8 and 12 independent chains, so
+/// the add latency is covered on every port without the chains spilling
+/// out of the register file (where a vf16 takes two registers, 12 do).
+double host_roof_gflops(double min_seconds) {
+  constexpr std::size_t kSteps = 4096;
+  const auto gflops = [](std::size_t chains, double ns) {
+    return 2.0 * simd::vf16::kLanes * static_cast<double>(chains * kSteps) /
+           ns;
+  };
+  return std::max({gflops(4, time_roof_chains<4>(min_seconds, kSteps)),
+                   gflops(8, time_roof_chains<8>(min_seconds, kSteps)),
+                   gflops(12, time_roof_chains<12>(min_seconds, kSteps))});
+}
+
 KernelRow bench_pair(const std::string& name, double flops_per_op,
                      double bytes_per_op, double min_seconds, int min_reps,
+                     double roof_gflops,
                      const std::function<void(simd::KernelPath)>& op) {
   KernelRow row;
   row.name = name;
@@ -64,9 +114,10 @@ KernelRow bench_pair(const std::string& name, double flops_per_op,
   }
   row.speedup = row.scalar.ns_per_op / row.simd.ns_per_op;
   std::printf("  %-28s scalar %10.1f ns   simd %10.1f ns   %5.2fx"
-              "   (%.2f GFLOP/s, %.2f GB/s simd)\n",
+              "   (%.2f GFLOP/s = %4.1f%% of roof, %.2f GB/s simd)\n",
               row.name.c_str(), row.scalar.ns_per_op, row.simd.ns_per_op,
-              row.speedup, row.simd.gflops, row.simd.gbytes);
+              row.speedup, row.simd.gflops,
+              100.0 * row.simd.gflops / roof_gflops, row.simd.gbytes);
   return row;
 }
 
@@ -160,6 +211,10 @@ int main(int argc, char** argv) {
               simd::backend_name(), to_string(simd::kDefaultPath),
               quick ? "quick" : "full");
 
+  const double roof = host_roof_gflops(min_seconds);
+  std::printf("  host roof: %.2f GFLOP/s (16-lane multiply-add, one core)\n\n",
+              roof);
+
   Rng rng(7);
   std::vector<KernelRow> rows;
   std::map<std::string, double> speedups;
@@ -172,12 +227,12 @@ int main(int argc, char** argv) {
   const auto sa = spd_matrix(f, rng);
 
   rows.push_back(bench_pair(
-      "dot_f100", 2.0 * f, 2.0 * f * sizeof(real_t), min_seconds, 2000,
+      "dot_f100", 2.0 * f, 2.0 * f * sizeof(real_t), min_seconds, 2000, roof,
       [&](simd::KernelPath p) { g_sink = dot(va, vb, p); }));
   speedups["dot_f100"] = rows.back().speedup;
 
   rows.push_back(bench_pair(
-      "axpy_f100", 2.0 * f, 3.0 * f * sizeof(real_t), min_seconds, 2000,
+      "axpy_f100", 2.0 * f, 3.0 * f * sizeof(real_t), min_seconds, 2000, roof,
       [&](simd::KernelPath p) {
         axpy(real_t{0.5}, va, vy, p);
         g_sink = vy[0];
@@ -186,7 +241,7 @@ int main(int argc, char** argv) {
 
   rows.push_back(bench_pair(
       "symv_f100", 2.0 * f * f, 1.0 * f * f * sizeof(real_t), min_seconds,
-      200, [&](simd::KernelPath p) {
+      200, roof, [&](simd::KernelPath p) {
         symv(f, sa, va, vy, p);
         g_sink = vy[0];
       }));
@@ -200,7 +255,7 @@ int main(int argc, char** argv) {
   std::vector<real_t> hdst(hn);
   rows.push_back(bench_pair(
       "half_unpack_4096", 0.0, hn * (sizeof(half) + sizeof(real_t)),
-      min_seconds, 100, [&](simd::KernelPath p) {
+      min_seconds, 100, roof, [&](simd::KernelPath p) {
         half_to_float_n(hsrc.data(), hdst.data(), hn, p);
         g_sink = hdst[0];
       }));
@@ -209,7 +264,7 @@ int main(int argc, char** argv) {
   std::vector<half> hpack(hn);
   rows.push_back(bench_pair(
       "half_pack_4096", 0.0, hn * (sizeof(half) + sizeof(real_t)),
-      min_seconds, 100, [&](simd::KernelPath p) {
+      min_seconds, 100, roof, [&](simd::KernelPath p) {
         float_to_half_n(hsrc_f.data(), hpack.data(), hn, p);
         g_sink = static_cast<float>(hpack[0]);
       }));
@@ -247,7 +302,7 @@ int main(int argc, char** argv) {
           fp16 ? "hermitian_f100_t10_fp16stage" : "hermitian_f100_t10";
       rows.push_back(bench_pair(
           name, mean_nnz * (f * f + 2.0 * f),
-          mean_nnz * f * sizeof(real_t), min_seconds, 20,
+          mean_nnz * f * sizeof(real_t), min_seconds, 20, roof,
           [&](simd::KernelPath p) {
             get_hermitian_row(csr, theta, next_u(), real_t{0.05}, params, ws,
                               a_out, b_out, p);
@@ -259,9 +314,10 @@ int main(int argc, char** argv) {
   }
 
   // --- CG solve, f=100, fs = 3..6, eps=0 so every iteration runs --------
+  // cg_fp32 times cg_solve alone; cg_fp16 times what production runs for
+  // CG-FP16: SystemSolver::solve rounding A through binary16, checking the
+  // pack, then the FP32 CG on the rounded copy.
   std::printf("\n");
-  std::vector<half> sa_half(f * f);
-  float_to_half_n(sa.data(), sa_half.data(), sa.size(), simd::kDefaultPath);
   auto x = random_vec(f, rng);
   double cg16_ns = 0.0;
   double cg32_ns = 0.0;
@@ -270,7 +326,7 @@ int main(int argc, char** argv) {
     rows.push_back(bench_pair(
         "cg_fp32_f100_fs" + std::to_string(fs), flops,
         fs * static_cast<double>(f) * f * sizeof(real_t), min_seconds, 50,
-        [&](simd::KernelPath p) {
+        roof, [&](simd::KernelPath p) {
           std::copy(vb.begin(), vb.end(), x.begin());
           const auto r = cg_solve<float>(f, sa, va, x, fs, real_t{0}, p);
           g_sink = r.residual_norm;
@@ -279,14 +335,24 @@ int main(int argc, char** argv) {
     if (fs == 6) {
       cg32_ns = rows.back().simd.ns_per_op;
     }
+    SolverOptions cg16;
+    cg16.kind = SolverKind::CgFp16;
+    cg16.cg_fs = fs;
+    cg16.cg_eps = real_t{0};
+    cg16.path = simd::KernelPath::scalar;
+    SystemSolver cg16_scalar(f, cg16);
+    cg16.path = simd::KernelPath::simd;
+    SystemSolver cg16_simd(f, cg16);
+    // Bytes the host moves: the round reads A and writes its FP32 copy,
+    // then fs+1 matvecs (the initial residual plus one per step) read it.
     rows.push_back(bench_pair(
         "cg_fp16_f100_fs" + std::to_string(fs), flops,
-        fs * static_cast<double>(f) * f * sizeof(half), min_seconds, 50,
-        [&](simd::KernelPath p) {
+        (fs + 3.0) * static_cast<double>(f) * f * sizeof(real_t),
+        min_seconds, 50, roof, [&](simd::KernelPath p) {
           std::copy(vb.begin(), vb.end(), x.begin());
-          const auto r = cg_solve<half>(
-              f, std::span<const half>(sa_half), va, x, fs, real_t{0}, p);
-          g_sink = r.residual_norm;
+          SystemSolver& solver =
+              p == simd::KernelPath::scalar ? cg16_scalar : cg16_simd;
+          g_sink = solver.solve(sa, va, x) ? x[0] : -1.0;
         }));
     speedups["cg_fp16_fs" + std::to_string(fs)] = rows.back().speedup;
     if (fs == 6) {
@@ -384,7 +450,19 @@ int main(int argc, char** argv) {
         << ", \"speedup\": " << json_num(r.speedup) << "}"
         << (i + 1 < rows.size() ? "," : "") << "\n";
   }
-  out << "  },\n  \"speedups\": {\n";
+  out << "  },\n  \"host_roof\": {\n"
+      << "    \"mul_add_gflops\": " << json_num(roof) << ",\n"
+      << "    \"simd_share\": {\n";
+  bool first_share = true;
+  for (const auto& r : rows) {
+    if (r.simd.gflops <= 0.0) {
+      continue;  // conversions: no flop rate to compare
+    }
+    out << (first_share ? "" : ",\n") << "      \"" << r.name
+        << "\": " << json_num(r.simd.gflops / roof);
+    first_share = false;
+  }
+  out << "\n    }\n  },\n  \"speedups\": {\n";
   for (auto it = speedups.begin(); it != speedups.end(); ++it) {
     out << "    \"" << it->first << "\": " << json_num(it->second)
         << (std::next(it) != speedups.end() ? "," : "") << "\n";

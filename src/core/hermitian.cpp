@@ -11,27 +11,8 @@ namespace cumf {
 
 namespace {
 
-/// T×T register-block accumulation, SIMD path: for each tile row i the
-/// row-segment update block[i,:] += y_i · frag_x[:] is elementwise, so the
-/// 8-lane vector body plus scalar tail is bitwise identical to the scalar
-/// loop (same per-element operations in the same s/i/j order).
-void accumulate_tile_simd(real_t* block, std::size_t f, std::size_t tile,
-                          const real_t* frag_x, const real_t* frag_y) {
-  for (std::size_t i = 0; i < tile; ++i) {
-    const real_t yi = frag_y[i];
-    real_t* brow = block + i * f;
-    const simd::vf8 yv = simd::vf8::broadcast(yi);
-    std::size_t j = 0;
-    for (; j + 8 <= tile; j += 8) {
-      (simd::vf8::load(brow + j) + yv * simd::vf8::load(frag_x + j))
-          .store(brow + j);
-    }
-    for (; j < tile; ++j) {
-      brow[j] += yi * frag_x[j];
-    }
-  }
-}
-
+/// T×T tile accumulation (scalar path): for every staged column s of the
+/// batch, block[i,:] += y_i · frag_x[:] — the GPU thread's register block.
 void accumulate_tile_scalar(real_t* block, std::size_t f, std::size_t tile,
                             const real_t* frag_x, const real_t* frag_y) {
   for (std::size_t i = 0; i < tile; ++i) {
@@ -39,6 +20,96 @@ void accumulate_tile_scalar(real_t* block, std::size_t f, std::size_t tile,
     for (std::size_t j = 0; j < tile; ++j) {
       block[i * f + j] += yi * frag_x[j];
     }
+  }
+}
+
+/// Register block of the SIMD path: kRows rows × kChunks 16-lane column
+/// chunks of A, starting at (i0, j0), held in vf16 accumulators for the
+/// whole staged batch. Each element adds its θ products in staged-column
+/// order — the same per-element sequence as the scalar tile loop.
+template <std::size_t kRows, std::size_t kChunks>
+void accumulate_block(real_t* a, std::size_t f, const real_t* staged,
+                      std::size_t batch_len, std::size_t i0, std::size_t j0) {
+  constexpr std::size_t kW = simd::vf16::kLanes;
+  simd::vf16 acc[kRows][kChunks]{};
+  CUMF_UNROLL
+  for (std::size_t r = 0; r < kRows; ++r) {
+    CUMF_UNROLL
+    for (std::size_t c = 0; c < kChunks; ++c) {
+      acc[r][c] = simd::vf16::load(a + (i0 + r) * f + j0 + c * kW);
+    }
+  }
+  for (std::size_t s = 0; s < batch_len; ++s) {
+    const real_t* xs = staged + s * f + j0;  // this block's columns of θ_s
+    const real_t* ys = staged + s * f + i0;  // and its rows
+    simd::vf16 x[kChunks]{};
+    CUMF_UNROLL
+    for (std::size_t c = 0; c < kChunks; ++c) {
+      x[c] = simd::vf16::load(xs + c * kW);
+    }
+    CUMF_UNROLL
+    for (std::size_t r = 0; r < kRows; ++r) {
+      const simd::vf16 y = simd::vf16::broadcast(ys[r]);
+      CUMF_UNROLL
+      for (std::size_t c = 0; c < kChunks; ++c) {
+        acc[r][c] += y * x[c];
+      }
+    }
+  }
+  CUMF_UNROLL
+  for (std::size_t r = 0; r < kRows; ++r) {
+    CUMF_UNROLL
+    for (std::size_t c = 0; c < kChunks; ++c) {
+      acc[r][c].store(a + (i0 + r) * f + j0 + c * kW);
+    }
+  }
+}
+
+/// Full-size register block: its accumulators take half of the vector
+/// registers — 16 of AVX-512's 32, or 8 of AVX2's 16 where a vf16 is two.
+constexpr std::size_t kBlockRows = simd::kWideVectors ? 8 : 4;
+constexpr std::size_t kBlockChunks = simd::kWideVectors ? 2 : 1;
+
+/// Lower triangle of rows [i0, i0 + kRows) for one staged batch (SIMD
+/// path). Column chunks cover [0, i0 + kRows) and may spill into the upper
+/// triangle (the mirror overwrites it), but never past column f: the
+/// columns a full chunk cannot reach go through a scalar tail.
+template <std::size_t kRows>
+void accumulate_rows(real_t* a, std::size_t f, const real_t* staged,
+                     std::size_t batch_len, std::size_t i0) {
+  constexpr std::size_t kW = simd::vf16::kLanes;
+  const std::size_t cols = i0 + kRows;  // j ≤ i < i0 + kRows
+  std::size_t j0 = 0;
+  for (; j0 + (kBlockChunks - 1) * kW < cols && j0 + kBlockChunks * kW <= f;
+       j0 += kBlockChunks * kW) {
+    accumulate_block<kRows, kBlockChunks>(a, f, staged, batch_len, i0, j0);
+  }
+  if (kBlockChunks > 1 && j0 < cols && j0 + kW <= f) {
+    accumulate_block<kRows, 1>(a, f, staged, batch_len, i0, j0);
+    j0 += kW;
+  }
+  for (std::size_t i = std::max(i0, j0); i < cols; ++i) {
+    real_t* arow = a + i * f;
+    for (std::size_t s = 0; s < batch_len; ++s) {
+      const real_t* col = staged + s * f;
+      const real_t yi = col[i];
+      for (std::size_t j = j0; j <= i; ++j) {
+        arow[j] += yi * col[j];
+      }
+    }
+  }
+}
+
+/// Lower triangle of rows [i0, f) for one staged batch: blocks of kRows
+/// rows, then the remaining rows in blocks of kRows/2, kRows/4, …, 1.
+template <std::size_t kRows>
+void accumulate_lower(real_t* a, std::size_t f, const real_t* staged,
+                      std::size_t batch_len, std::size_t i0) {
+  for (; i0 + kRows <= f; i0 += kRows) {
+    accumulate_rows<kRows>(a, f, staged, batch_len, i0);
+  }
+  if constexpr (kRows > 1) {
+    accumulate_lower<kRows / 2>(a, f, staged, batch_len, i0);
   }
 }
 
@@ -90,18 +161,21 @@ void get_hermitian_row(const CsrMatrix& r, const Matrix& theta, index_t u,
       }
     }
 
-    // Accumulate: one "thread" per lower-triangular tile pair (x ≤ y);
-    // its T×T register block adds θ^(y) ⊗ θ^(x) for every staged column.
-    for (std::size_t y = 0; y < nt; ++y) {
-      for (std::size_t x = 0; x <= y; ++x) {
-        real_t* block = a_out.data() + (y * tile) * f + (x * tile);
-        for (std::size_t s = 0; s < batch_len; ++s) {
-          const real_t* frag_x = ws.staged.data() + s * f + x * tile;
-          const real_t* frag_y = ws.staged.data() + s * f + y * tile;
-          if (use_simd) {
-            accumulate_tile_simd(block, f, tile, frag_x, frag_y);
-          } else {
-            accumulate_tile_scalar(block, f, tile, frag_x, frag_y);
+    if (use_simd) {
+      // Row blocks of A stay in registers across the whole batch (the
+      // host's take on Fig. 2).
+      accumulate_lower<kBlockRows>(a_out.data(), f, ws.staged.data(),
+                                   batch_len, 0);
+    } else {
+      // One "thread" per lower-triangular tile pair (x ≤ y); its T×T
+      // register block adds θ^(y) ⊗ θ^(x) for every staged column.
+      for (std::size_t y = 0; y < nt; ++y) {
+        for (std::size_t x = 0; x <= y; ++x) {
+          real_t* block = a_out.data() + (y * tile) * f + (x * tile);
+          for (std::size_t s = 0; s < batch_len; ++s) {
+            accumulate_tile_scalar(block, f, tile,
+                                   ws.staged.data() + s * f + x * tile,
+                                   ws.staged.data() + s * f + y * tile);
           }
         }
       }
@@ -130,7 +204,7 @@ void get_hermitian_row(const CsrMatrix& r, const Matrix& theta, index_t u,
     }
   }
 
-  // Mirror the strictly-lower tiles to the upper triangle (block30' in
+  // Mirror the strictly-lower triangle to the upper one (block30' in
   // Fig. 2) — done at flush time on the GPU, done here after accumulation.
   for (std::size_t i = 0; i < f; ++i) {
     for (std::size_t j = 0; j < i; ++j) {

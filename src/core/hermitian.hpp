@@ -4,13 +4,17 @@
 //     A_u = Σ_v θ_v θ_vᵀ + λ n_u I           (f×f, symmetric)
 //     b_u = Σ_v r_uv θ_v                      (the get_bias term)
 //
-// The functional kernel here mirrors the CUDA kernel's structure exactly
-// (Fig. 2): θ columns are staged into a BIN×f "shared memory" buffer in
-// batches; A_u is accumulated tile-by-tile in T×T "register" blocks; only
-// lower-triangular tile pairs (x ≤ y) are computed and the result is
-// mirrored on flush. Mirroring the structure keeps the simulated-GPU
-// resource accounting (registers = T², smem = BIN·f floats) honest, and the
-// unit tests verify it is numerically identical to the naive reference.
+// The GPU structure of the kernel (Fig. 2) — θ columns staged into a BIN×f
+// "shared memory" buffer in batches, A_u accumulated in T×T register tiles
+// over the lower-triangular tile pairs (x ≤ y), mirrored on flush — is
+// modelled by cusim (cusim/kernels.hpp) and costed by gpusim; that is where
+// the resource accounting (registers = T², smem = BIN·f floats) lives. The
+// host kernel below keeps the staging, but its SIMD path holds blocks of A
+// rows in vector registers across each staged batch instead of walking T×T
+// tiles; `tile` shapes only the scalar path and the model. Every element
+// adds its θ products in staged-column order on both paths, so A_u and b_u
+// are bitwise equal across paths and, without FP16 staging, to the naive
+// reference (unit-tested).
 #pragma once
 
 #include <span>
@@ -41,13 +45,15 @@ struct HermitianWorkspace {
   void prepare(std::size_t f, const HermitianParams& params);
 };
 
-/// Tiled kernel: writes the full symmetric A_u (f×f row-major) into `a_out`
-/// and b_u into `b_out`. λ·n_u is added to the diagonal (ALS-WR weighting,
-/// eq. (2)). Rows with no non-zeros produce A_u = λ·0·I = 0 plus b=0; the
-/// caller decides how to handle them (AlsEngine keeps the old factor).
-/// `path` selects the SIMD or scalar variant of the tile accumulation, the
-/// FP16 staging transform, and the b_u update; the two variants are bitwise
-/// identical (all three stages are elementwise) and differentially tested.
+/// Production kernel: writes the full symmetric A_u (f×f row-major) into
+/// `a_out` and b_u into `b_out`. λ·n_u is added to the diagonal (ALS-WR
+/// weighting, eq. (2)). Rows with no non-zeros produce A_u = λ·0·I = 0 plus
+/// b=0; the caller decides how to handle them (AlsEngine keeps the old
+/// factor). `path` selects the SIMD variant (register-resident row blocks,
+/// 16-lane) or the scalar variant (the T×T tile loop) of the accumulation,
+/// the FP16 staging transform, and the b_u update; both add each element's
+/// products in the same order, so they are bitwise identical and
+/// differentially tested. f must be a multiple of params.tile.
 void get_hermitian_row(const CsrMatrix& r, const Matrix& theta, index_t u,
                        real_t lambda, const HermitianParams& params,
                        HermitianWorkspace& ws, std::span<real_t> a_out,

@@ -83,9 +83,6 @@ SystemSolver::SystemSolver(std::size_t f, const SolverOptions& options)
   scratch_fp32_.resize(f_ * f_);
   pivots_.resize(f_);
   backup_.resize(f_);
-  if (options_.kind == SolverKind::CgFp16) {
-    scratch_fp16_.resize(f_ * f_);
-  }
 }
 
 bool SystemSolver::solve_exact(std::span<const real_t> a,
@@ -116,8 +113,7 @@ bool SystemSolver::solve_exact(std::span<const real_t> a,
   return ok;
 }
 
-template <typename T>
-bool SystemSolver::solve_cg(std::span<const T> a,
+bool SystemSolver::solve_cg(std::span<const real_t> a,
                             std::span<const real_t> a_exact,
                             std::span<const real_t> b, std::span<real_t> x,
                             bool preconditioned) {
@@ -127,16 +123,16 @@ bool SystemSolver::solve_cg(std::span<const T> a,
     // Jacobi needs a strictly positive finite diagonal; pcg_solve treats a
     // violation as a precondition error, so screen it here and degrade.
     for (std::size_t i = 0; i < f_ && usable; ++i) {
-      const float d = load_as_float(a[i * f_ + i]);
+      const float d = a[i * f_ + i];
       usable = std::isfinite(d) && d > 0.0f;
     }
     if (usable) {
-      result = pcg_solve<T>(f_, a, b, x, options_.cg_fs, options_.cg_eps,
-                            options_.path);
+      result = pcg_solve<float>(f_, a, b, x, options_.cg_fs, options_.cg_eps,
+                                options_.path);
     }
   } else {
-    result = cg_solve<T>(f_, a, b, x, options_.cg_fs, options_.cg_eps,
-                         options_.path);
+    result = cg_solve<float>(f_, a, b, x, options_.cg_fs, options_.cg_eps,
+                             options_.path);
   }
   if (usable && !result.breakdown && all_finite(x)) {
     stats_.record_cg(result.iterations);
@@ -152,10 +148,13 @@ bool SystemSolver::solve_cg(std::span<const T> a,
 }
 
 bool SystemSolver::fp16_pack_ok(std::span<const real_t> a) const noexcept {
+  // Checks the rounded copy in scratch_fp32_: a binary16 value is infinite
+  // (or zero) exactly when its widened float is, so this accepts and
+  // rejects the same systems as checking the half pack itself.
   for (std::size_t i = 0; i < a.size(); ++i) {
     // half max is 65504: a heavy row's hermitian diagonal (which grows with
     // nnz_u) can exceed it even though the FP32 value is fine.
-    if (scratch_fp16_[i].is_inf() && std::isfinite(a[i])) {
+    if (std::isinf(scratch_fp32_[i]) && std::isfinite(a[i])) {
       return false;
     }
   }
@@ -163,7 +162,7 @@ bool SystemSolver::fp16_pack_ok(std::span<const real_t> a) const noexcept {
     const std::size_t i = d * f_ + d;
     // A diagonal flushed to zero (|a| < 2^-25) silently destroys the ridge
     // that keeps A SPD.
-    if (a[i] != 0.0f && static_cast<float>(scratch_fp16_[i]) == 0.0f) {
+    if (a[i] != 0.0f && scratch_fp32_[i] == 0.0f) {
       return false;
     }
   }
@@ -183,24 +182,26 @@ bool SystemSolver::solve(std::span<const real_t> a,
     case SolverKind::CholeskyFp32:
       return solve_exact(a, b, x, /*via_cholesky=*/true);
     case SolverKind::CgFp32:
-      return solve_cg<float>(a, a, b, x, /*preconditioned=*/false);
+      return solve_cg(a, a, b, x, /*preconditioned=*/false);
     case SolverKind::PcgFp32:
-      return solve_cg<float>(a, a, b, x, /*preconditioned=*/true);
+      return solve_cg(a, a, b, x, /*preconditioned=*/true);
     case SolverKind::CgFp16: {
-      // Store A in half precision — the read side of every CG matvec then
-      // moves half the bytes (Solution 4). b and x stay FP32.
-      float_to_half_n(a.data(), scratch_fp16_.data(), a.size(),
-                      options_.path);
+      // Solution 4 stores A in half precision. The host rounds A through
+      // binary16 once, into FP32 scratch, and runs the FP32 CG on it:
+      // widening a half is exact, so every iterate equals CG over the half
+      // pack, without an unpack per matvec. The model still charges the
+      // matvecs half-width traffic. b and x stay FP32.
+      round_through_half_n(a.data(), scratch_fp32_.data(), a.size(),
+                           options_.path);
       stats_.fp16_converted += a.size();
       if (!fp16_pack_ok(a)) {
         // Overflow/underflow in the pack: retry this system with A kept in
         // FP32 (the paper's Solution 3 path) rather than solving a wrong
         // system fast.
         ++stats_.fp16_fallbacks;
-        return solve_cg<float>(a, a, b, x, /*preconditioned=*/false);
+        return solve_cg(a, a, b, x, /*preconditioned=*/false);
       }
-      return solve_cg<half>(std::span<const half>(scratch_fp16_), a, b, x,
-                            /*preconditioned=*/false);
+      return solve_cg(scratch_fp32_, a, b, x, /*preconditioned=*/false);
     }
   }
   CUMF_ENSURES(false, "unreachable solver kind");

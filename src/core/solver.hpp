@@ -24,7 +24,11 @@ enum class SolverKind {
   LuFp32,        ///< exact batched LU (the paper's baseline `solve`)
   CholeskyFp32,  ///< exact batched Cholesky (SPD-aware exact alternative)
   CgFp32,        ///< approximate CG, A in FP32 (Solution 3)
-  CgFp16,        ///< approximate CG, A stored in FP16 (Solution 4)
+  /// Approximate CG, A stored in FP16 (Solution 4). The host rounds A
+  /// through binary16 once and iterates in FP32 on the rounded values
+  /// (bitwise the CG over the half pack); the cost model still charges
+  /// half-width matvec traffic.
+  CgFp16,
   PcgFp32,       ///< Jacobi-preconditioned CG (extension beyond the paper)
 };
 
@@ -138,22 +142,22 @@ class SystemSolver {
   bool solve_exact(std::span<const real_t> a, std::span<const real_t> b,
                    std::span<real_t> x, bool via_cholesky);
 
-  /// CG/PCG on storage type T with breakdown → exact-LU degradation.
-  /// `a_exact` is the FP32 view of the same system for the fallback.
-  template <typename T>
-  bool solve_cg(std::span<const T> a, std::span<const real_t> a_exact,
+  /// CG/PCG on A with breakdown → exact-LU degradation. `a_exact` is the
+  /// unrounded FP32 system for the fallback (`a` itself for FP32 kinds).
+  bool solve_cg(std::span<const real_t> a, std::span<const real_t> a_exact,
                 std::span<const real_t> b, std::span<real_t> x,
                 bool preconditioned);
 
-  /// True when every FP16-packed element faithfully represents its FP32
-  /// source (no finite→inf overflow, no nonzero diagonal flushed to zero).
+  /// True when every element of A rounded through binary16 (held in
+  /// scratch_fp32_) faithfully represents its FP32 source: no finite→inf
+  /// overflow, no nonzero diagonal flushed to zero.
   bool fp16_pack_ok(std::span<const real_t> a) const noexcept;
 
   std::size_t f_;
   SolverOptions options_;
   SolveStats stats_;
+  /// LU/Cholesky factor scratch; for CgFp16 also A rounded through half.
   std::vector<real_t> scratch_fp32_;
-  std::vector<half> scratch_fp16_;
   std::vector<index_t> pivots_;
   std::vector<real_t> backup_;  ///< x on entry, for failure restoration
 };

@@ -75,29 +75,52 @@ namespace detail {
 inline simd::vf8 load8(const float* p) noexcept { return simd::vf8::load(p); }
 inline simd::vf8 load8(const half* p) noexcept { return half_to_float8(p); }
 
+/// One gemv row's result from its vd8 accumulator: the lanes' pairwise sum,
+/// then the columns past the last full chunk in order.
+template <typename T>
+real_t gemv_row_finish(std::size_t n, std::size_t j, const T* row,
+                       const real_t* in, const simd::vd8& acc) noexcept {
+  double sum = acc.hsum();
+  for (; j < n; ++j) {
+    sum += static_cast<double>(load_as_float(row[j])) *
+           static_cast<double>(in[j]);
+  }
+  return static_cast<real_t>(sum);
+}
+
 /// out = A·in for row-major n×n A of storage type T, FP32 data, double
-/// accumulation per row (exact float→double products on both paths).
+/// accumulation per row (exact float→double products on both paths). The
+/// SIMD path runs 4 rows at a time so their accumulation chains overlap;
+/// each row still sums its 8-lane chunks in order into one vd8, reduces it
+/// with vd8::hsum and adds its scalar tail, so the rows' results do not
+/// depend on the interleave.
 template <typename T>
 void gemv(std::size_t n, const T* a, const real_t* in, real_t* out,
           simd::KernelPath path) {
   if (path == simd::KernelPath::simd) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const T* row = a + i * n;
-      simd::vd4 acc_lo = simd::vd4::zero();
-      simd::vd4 acc_hi = simd::vd4::zero();
-      std::size_t j = 0;
-      for (; j + 8 <= n; j += 8) {
-        const simd::vf8 av = load8(row + j);
-        const simd::vf8 xv = simd::vf8::load(in + j);
-        acc_lo.mul_acc_lo(av, xv);
-        acc_hi.mul_acc_hi(av, xv);
+    constexpr std::size_t kRows = 4;
+    const std::size_t body = n - n % simd::vf8::kLanes;
+    std::size_t i = 0;
+    for (; i + kRows <= n; i += kRows) {
+      simd::vd8 acc[kRows]{};  // value-initialized: every lane +0.0
+      for (std::size_t j = 0; j < body; j += simd::vf8::kLanes) {
+        const simd::vd8 xv = simd::vd8::widen(simd::vf8::load(in + j));
+        CUMF_UNROLL
+        for (std::size_t r = 0; r < kRows; ++r) {
+          acc[r].mul_acc(xv, load8(a + (i + r) * n + j));
+        }
       }
-      double acc = acc_lo.hsum() + acc_hi.hsum();
-      for (; j < n; ++j) {
-        acc += static_cast<double>(load_as_float(row[j])) *
-               static_cast<double>(in[j]);
+      for (std::size_t r = 0; r < kRows; ++r) {
+        out[i + r] = gemv_row_finish(n, body, a + (i + r) * n, in, acc[r]);
       }
-      out[i] = static_cast<real_t>(acc);
+    }
+    for (; i < n; ++i) {
+      simd::vd8 acc = simd::vd8::zero();
+      for (std::size_t j = 0; j < body; j += simd::vf8::kLanes) {
+        acc.mul_acc(simd::vd8::widen(simd::vf8::load(in + j)),
+                    load8(a + i * n + j));
+      }
+      out[i] = gemv_row_finish(n, body, a + i * n, in, acc);
     }
     return;
   }

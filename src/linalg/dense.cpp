@@ -9,9 +9,7 @@ namespace cumf {
 namespace {
 
 /// Lane-parallel Σ a[i]·b[i] with exact double products; the scalar tail
-/// appends sequentially, matching the reference loop's term values. The vd8
-/// accumulator is lane-for-lane the historical {acc_lo, acc_hi} vd4 pair
-/// and hsum() reduces in the same order, so results are unchanged.
+/// appends sequentially, matching the reference loop's term values.
 double dot_simd(const real_t* a, const real_t* b, std::size_t n) {
   simd::vd8 acc8 = simd::vd8::zero();
   std::size_t i = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <string>
 
+#include "core/als.hpp"
 #include "core/hermitian.hpp"
 #include "linalg/dense.hpp"
 #include "prof/prof.hpp"
@@ -101,12 +102,16 @@ ServeEngine::ServeEngine(FactorModel model, CsrMatrix seen,
       seen_(std::move(seen)),
       shards_(make_shards(theta_.rows(), options.shards)),
       cache_(options.cache_capacity, f_),
-      solver_(f_, options.solver) {
+      solver_(f_, options.solver),
+      a_scratch_(f_ * f_),
+      b_scratch_(f_) {
   CUMF_EXPECTS(f_ > 0 && x_.cols() == theta_.cols(),
                "serve: factor matrices must share a positive latent dim");
   CUMF_EXPECTS(seen_.rows() == x_.rows() && seen_.cols() == theta_.rows(),
                "serve: seen matrix shape must match the factor shapes");
   CUMF_EXPECTS(options_.lambda > 0, "serve: fold-in lambda must be positive");
+  hermitian_.tile = pick_tile(f_, hermitian_.tile);
+  herm_ws_.prepare(f_, hermitian_);
 }
 
 std::span<const real_t> ServeEngine::user_row_locked(index_t user) const {
@@ -248,12 +253,11 @@ void ServeEngine::refold_locked(index_t user) {
   const CsrMatrix row = CsrMatrix::from_parts(
       1, static_cast<index_t>(theta_.rows()), {0, row_nnz}, std::move(cols),
       std::move(vals));
-  std::vector<real_t> a(f_ * f_);
-  std::vector<real_t> b(f_);
-  get_hermitian_row_reference(row, theta_, 0, options_.lambda, a, b);
+  get_hermitian_row(row, theta_, 0, options_.lambda, hermitian_, herm_ws_,
+                    a_scratch_, b_scratch_, options_.path);
   // On failure the solver restores the entry factor and counts the system
   // in stats().failures — the service keeps answering from the old row.
-  (void)solver_.solve(a, b, user_row_locked(user));
+  (void)solver_.solve(a_scratch_, b_scratch_, user_row_locked(user));
   cache_.invalidate(user);
 }
 

@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "core/hermitian.hpp"
 #include "core/solver.hpp"
 #include "data/model_io.hpp"
 #include "metrics/ranking.hpp"
@@ -68,7 +69,8 @@ struct ServeOptions {
   real_t lambda = 0.05f;
   /// Fold-in solver; the degradation ladder guards every solve.
   SolverOptions solver{};
-  /// Kernel path for scoring (scalar pins the reference loops for tests).
+  /// Kernel path for scoring and the fold-in's get_hermitian (scalar pins
+  /// the reference loops for tests; both paths give the same factors).
   simd::KernelPath path = simd::kDefaultPath;
 };
 
@@ -170,6 +172,12 @@ class ServeEngine {
   std::vector<std::pair<std::size_t, std::size_t>> shards_;
   mutable FactorCache cache_;
   SystemSolver solver_;
+  /// Fold-in scratch, used only under the exclusive lock: the training
+  /// kernel's staging buffer and the A_u/b_u system it assembles.
+  HermitianParams hermitian_;
+  HermitianWorkspace herm_ws_;
+  std::vector<real_t> a_scratch_;
+  std::vector<real_t> b_scratch_;
   mutable std::shared_mutex mutex_;
 };
 

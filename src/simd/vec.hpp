@@ -3,8 +3,9 @@
 // The paper's kernels (get_hermitian tiling, the CG solve) live or die by
 // data-parallel arithmetic; on the CPU reproduction that means vector
 // registers. This header wraps GCC/Clang vector extensions behind small
-// fixed-width value types — vf8 (8 × float) for elementwise work, vd4
-// (4 × double) for reduction accumulators, vu8 (8 × uint32) for the bit
+// fixed-width value types — vf8 (8 × float) for elementwise work, vf16
+// (16 × float) for the register-resident get_hermitian accumulators, vd8
+// (8 × double) for reduction accumulators, vu8 (8 × uint32) for the bit
 // manipulation in the FP16 unpack — with a scalar-array fallback selected at
 // configure time (CMake option CUMF_SIMD, which defines CUMF_SIMD_ENABLED).
 //
@@ -14,7 +15,7 @@
 //  - reductions (hsum after lane-parallel accumulation) reassociate the sum,
 //    so results are ULP-close, not bitwise equal, to a sequential loop.
 //    Products of two floats widened to double are exact (24+24 ≤ 53 bits),
-//    so lane accumulation in vd4 only reorders exactly-representable terms.
+//    so lane accumulation in vd8 only reorders exactly-representable terms.
 //
 // Both kernel variants (scalar and SIMD) are always compiled; KernelPath
 // selects per call, and kDefaultPath reflects the configure-time choice.
@@ -41,8 +42,31 @@ const char* to_string(KernelPath path) noexcept;
 #define CUMF_SIMD_VEXT 0
 #endif
 
+/// Fully unrolls the loop that follows (a constant trip count), so arrays of
+/// register-blocked accumulators are kept in registers rather than memory.
+#if defined(__clang__)
+#define CUMF_UNROLL _Pragma("unroll")
+#elif defined(__GNUC__)
+#define CUMF_UNROLL _Pragma("GCC unroll 16")
+#else
+#define CUMF_UNROLL
+#endif
+
 /// True when the vector-extension backend is compiled in.
 inline constexpr bool kSimdCompiled = CUMF_SIMD_VEXT != 0;
+
+// 64-byte vectors (vf16, vd8) are single registers only with AVX-512;
+// elsewhere they are built from 32-byte halves.
+#if CUMF_SIMD_VEXT && defined(__AVX512F__)
+#define CUMF_SIMD_WIDE 1
+#else
+#define CUMF_SIMD_WIDE 0
+#endif
+
+/// True when vf16 and vd8 each fill one 512-bit register. Kernels size
+/// their register blocks by it: the vector register file holds twice as
+/// many of them as on targets that split them in two.
+inline constexpr bool kWideVectors = CUMF_SIMD_WIDE != 0;
 
 /// What production call sites use when the caller has no opinion.
 inline constexpr KernelPath kDefaultPath =
@@ -54,10 +78,8 @@ const char* backend_name() noexcept;
 #if CUMF_SIMD_VEXT
 
 using f32x8 = float __attribute__((vector_size(32)));
-using f64x4 = double __attribute__((vector_size(32)));
 using u32x8 = std::uint32_t __attribute__((vector_size(32)));
 using i32x8 = std::int32_t __attribute__((vector_size(32)));
-using f32x4 = float __attribute__((vector_size(16)));
 
 /// 8 packed floats. Loads/stores go through memcpy, so unaligned pointers
 /// are fine (compiles to movups / vmovups).
@@ -87,42 +109,43 @@ struct vf8 {
   float lane(std::size_t i) const noexcept { return v[i]; }
 };
 
-/// 4 packed doubles — reduction accumulator.
-struct vd4 {
-  static constexpr std::size_t kLanes = 4;
-  f64x4 v;
+#if CUMF_SIMD_WIDE
 
-  static vd4 zero() noexcept { return {f64x4{}}; }
-
-  /// Accumulates double(a_lane) * double(b_lane) for the low 4 lanes of a/b.
-  /// The float→double widening makes each product exact.
-  void mul_acc_lo(vf8 a, vf8 b) noexcept {
-    const f32x4 al = __builtin_shufflevector(a.v, a.v, 0, 1, 2, 3);
-    const f32x4 bl = __builtin_shufflevector(b.v, b.v, 0, 1, 2, 3);
-    v += __builtin_convertvector(al, f64x4) *
-         __builtin_convertvector(bl, f64x4);
-  }
-  /// Same for the high 4 lanes.
-  void mul_acc_hi(vf8 a, vf8 b) noexcept {
-    const f32x4 ah = __builtin_shufflevector(a.v, a.v, 4, 5, 6, 7);
-    const f32x4 bh = __builtin_shufflevector(b.v, b.v, 4, 5, 6, 7);
-    v += __builtin_convertvector(ah, f64x4) *
-         __builtin_convertvector(bh, f64x4);
-  }
-
-  /// Pairwise horizontal sum: (v0+v2) + (v1+v3).
-  double hsum() const noexcept { return (v[0] + v[2]) + (v[1] + v[3]); }
-};
-
+using f32x16 = float __attribute__((vector_size(64)));
 using f64x8 = double __attribute__((vector_size(64)));
 
-/// 8 packed doubles — the {acc_lo, acc_hi} vd4 pair fused into a single
-/// accumulator. Lane l holds exactly what lane (l < 4 ? acc_lo[l] :
-/// acc_hi[l-4]) holds in the split form (same per-lane products, same
-/// per-lane addition order), and hsum() reduces in the same order as
-/// acc_lo.hsum() + acc_hi.hsum() — so a kernel ported from the vd4 pair to
-/// vd8 is bit-identical, while the compiler gets one full-width convert and
-/// FMA per chunk instead of two half-width shuffles + converts.
+/// 16 packed floats in one AVX-512 register. Same elementwise contract as
+/// vf8; get_hermitian keeps a block of A_u rows in these across a whole
+/// staged batch.
+struct vf16 {
+  static constexpr std::size_t kLanes = 16;
+  f32x16 v;
+
+  static vf16 broadcast(float x) noexcept {
+    return {f32x16{x, x, x, x, x, x, x, x, x, x, x, x, x, x, x, x}};
+  }
+  static vf16 load(const float* p) noexcept {
+    vf16 r;
+    std::memcpy(&r.v, p, sizeof(r.v));
+    return r;
+  }
+  void store(float* p) const noexcept { std::memcpy(p, &v, sizeof(v)); }
+
+  friend vf16 operator+(vf16 a, vf16 b) noexcept { return {a.v + b.v}; }
+  friend vf16 operator*(vf16 a, vf16 b) noexcept { return {a.v * b.v}; }
+  vf16& operator+=(vf16 o) noexcept {
+    v += o.v;
+    return *this;
+  }
+
+  float lane(std::size_t i) const noexcept { return v[i]; }
+};
+
+/// 8 packed doubles — reduction accumulator. Lane l sums the exact
+/// products of lane l of each 8-float chunk, in chunk order; hsum() then
+/// reduces ((v0+v2)+(v1+v3)) + ((v4+v6)+(v5+v7)). Keep that order: the
+/// dot, gemv and CG results — and every trained factor — depend on it
+/// bit for bit.
 struct vd8 {
   static constexpr std::size_t kLanes = 8;
   f64x8 v;
@@ -138,12 +161,79 @@ struct vd8 {
   /// loops that reuse it across many right operands (e.g. gemv rows).
   void mul_acc(vd8 a_wide, vf8 b) noexcept { v += a_wide.v * widen(b).v; }
 
-  /// ((v0+v2)+(v1+v3)) + ((v4+v6)+(v5+v7)) — exactly the vd4 pair's
-  /// acc_lo.hsum() + acc_hi.hsum().
+  /// ((v0+v2)+(v1+v3)) + ((v4+v6)+(v5+v7)).
   double hsum() const noexcept {
     return ((v[0] + v[2]) + (v[1] + v[3])) + ((v[4] + v[6]) + (v[5] + v[7]));
   }
 };
+
+#else  // no 512-bit registers: 64-byte generic vectors would live in memory
+
+using f64x4 = double __attribute__((vector_size(32)));
+
+/// vf16 as two 8-lane halves (lanes 0–7 in lo), each op applied per half —
+/// the same per-lane arithmetic as the AVX-512 form.
+struct vf16 {
+  static constexpr std::size_t kLanes = 16;
+  vf8 lo;
+  vf8 hi;
+
+  static vf16 broadcast(float x) noexcept {
+    return {vf8::broadcast(x), vf8::broadcast(x)};
+  }
+  static vf16 load(const float* p) noexcept {
+    return {vf8::load(p), vf8::load(p + 8)};
+  }
+  void store(float* p) const noexcept {
+    lo.store(p);
+    hi.store(p + 8);
+  }
+
+  friend vf16 operator+(vf16 a, vf16 b) noexcept {
+    return {a.lo + b.lo, a.hi + b.hi};
+  }
+  friend vf16 operator*(vf16 a, vf16 b) noexcept {
+    return {a.lo * b.lo, a.hi * b.hi};
+  }
+  vf16& operator+=(vf16 o) noexcept {
+    lo += o.lo;
+    hi += o.hi;
+    return *this;
+  }
+
+  float lane(std::size_t i) const noexcept {
+    return i < 8 ? lo.lane(i) : hi.lane(i - 8);
+  }
+};
+
+/// vd8 as two 4-double halves (lanes 0–3 in lo) with the same per-lane
+/// products and the same hsum() order as the AVX-512 form.
+struct vd8 {
+  static constexpr std::size_t kLanes = 8;
+  f64x4 lo;
+  f64x4 hi;
+
+  static vd8 zero() noexcept { return {f64x4{}, f64x4{}}; }
+  static vd8 widen(vf8 a) noexcept {
+    return {__builtin_convertvector(
+                __builtin_shufflevector(a.v, a.v, 0, 1, 2, 3), f64x4),
+            __builtin_convertvector(
+                __builtin_shufflevector(a.v, a.v, 4, 5, 6, 7), f64x4)};
+  }
+  void mul_acc(vf8 a, vf8 b) noexcept { mul_acc(widen(a), b); }
+  void mul_acc(vd8 a_wide, vf8 b) noexcept {
+    const vd8 b_wide = widen(b);
+    lo += a_wide.lo * b_wide.lo;
+    hi += a_wide.hi * b_wide.hi;
+  }
+
+  double hsum() const noexcept {
+    return ((lo[0] + lo[2]) + (lo[1] + lo[3])) +
+           ((hi[0] + hi[2]) + (hi[1] + hi[3]));
+  }
+};
+
+#endif  // CUMF_SIMD_WIDE
 
 /// 8 packed uint32 — bit manipulation for the FP16 unpack/pack.
 struct vu8 {
@@ -234,25 +324,41 @@ struct vf8 {
   float lane(std::size_t i) const noexcept { return v[i]; }
 };
 
-struct vd4 {
-  static constexpr std::size_t kLanes = 4;
-  double v[4];
+struct vf16 {
+  static constexpr std::size_t kLanes = 16;
+  float v[16];
 
-  static vd4 zero() noexcept { return vd4{{0, 0, 0, 0}}; }
-  void mul_acc_lo(vf8 a, vf8 b) noexcept {
-    for (std::size_t i = 0; i < kLanes; ++i) {
-      v[i] += static_cast<double>(a.v[i]) * static_cast<double>(b.v[i]);
-    }
+  static vf16 broadcast(float x) noexcept {
+    vf16 r;
+    for (std::size_t i = 0; i < kLanes; ++i) r.v[i] = x;
+    return r;
   }
-  void mul_acc_hi(vf8 a, vf8 b) noexcept {
-    for (std::size_t i = 0; i < kLanes; ++i) {
-      v[i] += static_cast<double>(a.v[i + 4]) * static_cast<double>(b.v[i + 4]);
-    }
+  static vf16 load(const float* p) noexcept {
+    vf16 r;
+    std::memcpy(r.v, p, sizeof(r.v));
+    return r;
   }
-  double hsum() const noexcept { return (v[0] + v[2]) + (v[1] + v[3]); }
+  void store(float* p) const noexcept { std::memcpy(p, v, sizeof(v)); }
+
+  friend vf16 operator+(vf16 a, vf16 b) noexcept {
+    vf16 r;
+    for (std::size_t i = 0; i < kLanes; ++i) r.v[i] = a.v[i] + b.v[i];
+    return r;
+  }
+  friend vf16 operator*(vf16 a, vf16 b) noexcept {
+    vf16 r;
+    for (std::size_t i = 0; i < kLanes; ++i) r.v[i] = a.v[i] * b.v[i];
+    return r;
+  }
+  vf16& operator+=(vf16 o) noexcept {
+    for (std::size_t i = 0; i < kLanes; ++i) v[i] += o.v[i];
+    return *this;
+  }
+
+  float lane(std::size_t i) const noexcept { return v[i]; }
 };
 
-/// Fused {acc_lo, acc_hi} pair — see the vector-ext backend's vd8 doc.
+/// See the vector-ext backend's vd8 doc.
 struct vd8 {
   static constexpr std::size_t kLanes = 8;
   double v[8];

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -20,6 +22,8 @@
 #include "core/solver.hpp"
 #include "data/generator.hpp"
 #include "data/implicit.hpp"
+#include "half/half.hpp"
+#include "linalg/cg.hpp"
 #include "metrics/rmse.hpp"
 #include "sparse/split.hpp"
 
@@ -62,19 +66,32 @@ TEST_P(HermitianTileSweep, TiledMatchesReference) {
     }
   }
 
+  // Both kernel paths add every element's θ products in the reference's
+  // order, so A_u and b_u must match it bit for bit — at every tile, at a
+  // BIN that does or does not divide the row's nnz, and at any f.
   const std::size_t ff = static_cast<std::size_t>(f);
   std::vector<real_t> a_tiled(ff * ff);
   std::vector<real_t> b_tiled(ff);
   std::vector<real_t> a_ref(ff * ff);
   std::vector<real_t> b_ref(ff);
   HermitianParams params{tile, bin};
-  HermitianWorkspace ws;
-  for (index_t u = 0; u < csr.rows(); ++u) {
-    get_hermitian_row(csr, theta, u, 0.05f, params, ws, a_tiled, b_tiled);
-    get_hermitian_row_reference(csr, theta, u, 0.05f, a_ref, b_ref);
-    const double deg = csr.row_nnz(u);
-    EXPECT_LT(max_abs_diff(a_tiled, a_ref), 1e-3 * (deg + 1.0)) << "u=" << u;
-    EXPECT_LT(max_abs_diff(b_tiled, b_ref), 1e-3 * (deg + 1.0)) << "u=" << u;
+  for (const auto path : {simd::KernelPath::scalar, simd::KernelPath::simd}) {
+    HermitianWorkspace ws;
+    for (index_t u = 0; u < csr.rows(); ++u) {
+      get_hermitian_row(csr, theta, u, 0.05f, params, ws, a_tiled, b_tiled,
+                        path);
+      get_hermitian_row_reference(csr, theta, u, 0.05f, a_ref, b_ref);
+      for (std::size_t i = 0; i < a_ref.size(); ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(a_tiled[i]),
+                  std::bit_cast<std::uint32_t>(a_ref[i]))
+            << "A[" << i << "] u=" << u << " path=" << to_string(path);
+      }
+      for (std::size_t i = 0; i < b_ref.size(); ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(b_tiled[i]),
+                  std::bit_cast<std::uint32_t>(b_ref[i]))
+            << "b[" << i << "] u=" << u << " path=" << to_string(path);
+      }
+    }
   }
 }
 
@@ -83,7 +100,14 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::tuple{20, 10, 32}, std::tuple{20, 5, 32},
                       std::tuple{20, 4, 8}, std::tuple{16, 8, 4},
                       std::tuple{24, 6, 16}, std::tuple{20, 20, 32},
-                      std::tuple{20, 2, 1}));
+                      std::tuple{20, 2, 1},
+                      // f below one 16-lane chunk, f not a multiple of 8
+                      // or 16, BIN 1 (one column per batch) and BIN 7
+                      // (a short last batch on most rows).
+                      std::tuple{6, 3, 7}, std::tuple{12, 4, 1},
+                      std::tuple{20, 10, 7}, std::tuple{21, 7, 7},
+                      std::tuple{36, 6, 1}, std::tuple{36, 9, 7},
+                      std::tuple{36, 12, 32}));
 
 TEST(Hermitian, OutputIsSymmetricWithRidgeDiagonal) {
   const auto data = small_dataset(2000);
@@ -229,6 +253,102 @@ TEST(SystemSolver, CgIterationHistogramTracksSolves) {
   }
   EXPECT_EQ(histogram_total, 2u);  // one bucket entry per solve
   EXPECT_EQ(weighted, stats.cg_iterations);
+}
+
+/// Random SPD system A = GᵀG/f + I whose entries are not binary16 values,
+/// so the CG-FP16 pack really rounds.
+std::vector<real_t> random_spd(std::size_t f, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<real_t> g(f * f);
+  for (auto& v : g) {
+    v = static_cast<real_t>(rng.normal());
+  }
+  std::vector<real_t> a(f * f);
+  for (std::size_t i = 0; i < f; ++i) {
+    for (std::size_t j = 0; j <= i; ++j) {
+      double acc = 0.0;
+      for (std::size_t k = 0; k < f; ++k) {
+        acc += static_cast<double>(g[k * f + i]) * g[k * f + j];
+      }
+      a[i * f + j] = a[j * f + i] =
+          static_cast<real_t>(acc / static_cast<double>(f));
+    }
+    a[i * f + i] += real_t{1};
+  }
+  return a;
+}
+
+TEST(SystemSolver, CgFp16MatchesCgOverTheHalfPackBitForBit) {
+  // The solver rounds A through binary16 once and runs the FP32 CG on the
+  // rounded floats; that must be exactly CG over the half pack itself.
+  // f = 7, 20 and 100 cover the gemv's 4-row interleave with and without
+  // leftover rows and its scalar column tail.
+  for (const std::size_t f : {7ul, 20ul, 100ul}) {
+    for (const auto path :
+         {simd::KernelPath::scalar, simd::KernelPath::simd}) {
+      SolverOptions options;
+      options.kind = SolverKind::CgFp16;
+      options.cg_fs = 6;
+      options.path = path;
+      SystemSolver solver(f, options);
+      SolveStats expect;
+      Rng rng(f);
+      for (std::uint64_t sys = 0; sys < 4; ++sys) {
+        const auto a = random_spd(f, 100 * f + sys);
+        std::vector<real_t> b(f);
+        std::vector<real_t> x0(f);
+        for (std::size_t i = 0; i < f; ++i) {
+          b[i] = static_cast<real_t>(rng.normal());
+          x0[i] = static_cast<real_t>(rng.normal(0.0, 0.1));
+        }
+        std::vector<half> pack(f * f);
+        for (std::size_t i = 0; i < a.size(); ++i) {
+          pack[i] = half(a[i]);
+        }
+        std::vector<real_t> x_half = x0;
+        const CgResult ref =
+            cg_solve<half>(f, std::span<const half>(pack), b, x_half,
+                           options.cg_fs, options.cg_eps, path);
+        ASSERT_FALSE(ref.breakdown);
+        ++expect.systems;
+        expect.fp16_converted += f * f;
+        expect.record_cg(ref.iterations);
+
+        std::vector<real_t> x = x0;
+        ASSERT_TRUE(solver.solve(a, b, x));
+        for (std::size_t i = 0; i < f; ++i) {
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(x[i]),
+                    std::bit_cast<std::uint32_t>(x_half[i]))
+              << "f=" << f << " path=" << to_string(path) << " sys=" << sys
+              << " i=" << i;
+        }
+      }
+      EXPECT_EQ(solver.stats(), expect) << "f=" << f;
+    }
+  }
+}
+
+TEST(SystemSolver, CgFp16PackCheckKeepsItsVerdicts) {
+  SolverOptions options;
+  options.kind = SolverKind::CgFp16;
+  options.cg_fs = 8;
+  const std::vector<real_t> b = {1.0f, 1.0f};
+  const auto fallbacks = [&](const std::vector<real_t>& a) {
+    SystemSolver solver(2, options);
+    std::vector<real_t> x = {0.0f, 0.0f};
+    (void)solver.solve(a, b, x);
+    return solver.stats().fp16_fallbacks;
+  };
+  // (A finite element past the half range: SolverDegradation.
+  // Fp16OverflowRetriesInFp32.) A nonzero diagonal below 2^-25 flushes to
+  // zero: retry in FP32.
+  EXPECT_EQ(fallbacks({1e-8f, 0.0f, 0.0f, 1.0f}), 1u);
+  // A flushed off-diagonal loses nothing that keeps A SPD: no retry.
+  EXPECT_EQ(fallbacks({1.0f, 1e-8f, 1e-8f, 1.0f}), 0u);
+  // An element that is already infinite did not overflow in the pack; the
+  // CG breakdown ladder handles it instead.
+  const float inf = std::numeric_limits<float>::infinity();
+  EXPECT_EQ(fallbacks({1.0f, inf, inf, 1.0f}), 0u);
 }
 
 TEST(SolveStats, DeltaOfCumulativeSnapshots) {

@@ -15,7 +15,9 @@
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
+#include "core/hermitian.hpp"
 #include "core/hybrid.hpp"
+#include "core/solver.hpp"
 #include "data/model_io.hpp"
 #include "linalg/dense.hpp"
 #include "metrics/ranking.hpp"
@@ -363,6 +365,49 @@ TEST(Serve, FoldInIsDeterministicAndChangesResponses) {
   EXPECT_EQ(a.top_k(7, 5), b.top_k(7, 5));
   EXPECT_NE(a.top_k(7, 5), before);
   EXPECT_GE(a.solve_stats().systems, 4u);
+}
+
+TEST(Serve, FoldInSolvesTheReferenceNormalEquationsBitForBit) {
+  // Fold-in assembles A_u/b_u with the production get_hermitian kernel; on
+  // either path it must equal the naive reference system, solved by the
+  // same solver from the new user's zero warm start.
+  const std::size_t f = 20;  // not a multiple of the 16-lane chunk
+  const auto seen = random_seen(10, 90, 5, 85);
+  const Matrix theta = random_matrix(90, f, 86);
+  const std::vector<serve::ServeEngine::ItemRating> ratings = {
+      {3, 4.0f}, {17, 1.0f}, {40, 5.0f}, {41, 2.5f}, {88, 3.0f}};
+  for (const auto path : {simd::KernelPath::scalar, simd::KernelPath::simd}) {
+    serve::ServeOptions options;
+    options.path = path;
+    options.solver.kind = SolverKind::CgFp16;
+    serve::ServeEngine engine(
+        FactorModel{random_matrix(10, f, 84), Matrix(theta)}, seen, options);
+    const index_t user = engine.fold_in_user(ratings);
+
+    std::vector<index_t> cols;
+    std::vector<real_t> vals;
+    for (const auto& [item, value] : ratings) {
+      cols.push_back(item);
+      vals.push_back(value);
+    }
+    const auto nnz = static_cast<nnz_t>(cols.size());
+    const CsrMatrix row = CsrMatrix::from_parts(1, 90, {0, nnz},
+                                                std::move(cols),
+                                                std::move(vals));
+    std::vector<real_t> a(f * f);
+    std::vector<real_t> b(f);
+    get_hermitian_row_reference(row, theta, 0, options.lambda, a, b);
+    SystemSolver solver(f, options.solver);
+    std::vector<real_t> x(f, real_t{0});
+    ASSERT_TRUE(solver.solve(a, b, x));
+
+    const auto folded = engine.user_factor(user);
+    for (std::size_t i = 0; i < f; ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(folded[i]),
+                std::bit_cast<std::uint32_t>(x[i]))
+          << "path=" << to_string(path) << " i=" << i;
+    }
+  }
 }
 
 TEST(Serve, NewUsersGrowContiguouslyNewItemsRejected) {

@@ -72,9 +72,8 @@ TEST(SimdVec, ArithmeticMatchesScalarLanewise) {
 TEST(SimdVec, DoubleAccumulatorSumsExactProducts) {
   const auto a = random_vec(8, 3);
   const auto b = random_vec(8, 4);
-  simd::vd4 acc = simd::vd4::zero();
-  acc.mul_acc_lo(simd::vf8::load(a.data()), simd::vf8::load(b.data()));
-  acc.mul_acc_hi(simd::vf8::load(a.data()), simd::vf8::load(b.data()));
+  simd::vd8 acc = simd::vd8::zero();
+  acc.mul_acc(simd::vf8::load(a.data()), simd::vf8::load(b.data()));
   // Each float×float product widened to double is exact, so the hsum must
   // equal the sequential double sum up to reassociation — which for 8 exact
   // terms of similar magnitude is below 1 double ulp of the total here.
@@ -260,12 +259,18 @@ TEST(SimdHermitian, TiledKernelIsBitwiseIdenticalAcrossPaths) {
   struct Case {
     std::size_t f;
     int tile;
+    int bin;
   };
-  // Tile widths below, at, and above the 8-lane width, so both the vector
-  // body and the scalar tail of the tile loop are exercised (tile=5 and
-  // tile=10 have odd tails; tile=16 is two full vectors).
-  const Case cases[] = {{8, 4}, {8, 8}, {16, 16}, {32, 8}, {100, 5},
-                       {100, 10}, {100, 20}};
+  // The scalar path walks T×T tiles, the SIMD path 16-lane register blocks
+  // of up to 8 rows with a scalar tail at column f. Tiles below, at and
+  // above the lane widths; f below one chunk (8, 12), not a multiple of 8
+  // or 16 (20, 21, 36, 100); BIN 1 (one column per batch) and BIN 7 (a
+  // short last batch).
+  const Case cases[] = {{8, 4, 32},   {8, 8, 32},   {16, 16, 32},
+                        {32, 8, 32},  {100, 5, 32}, {100, 10, 32},
+                        {100, 20, 32}, {12, 4, 7},  {20, 5, 1},
+                        {21, 7, 32},  {36, 6, 7},   {36, 9, 1},
+                        {100, 10, 7}};
   const auto r = hermitian_fixture(12, 120, 31);
   for (const auto& c : cases) {
     Matrix theta(r.cols(), c.f);
@@ -273,6 +278,7 @@ TEST(SimdHermitian, TiledKernelIsBitwiseIdenticalAcrossPaths) {
     for (const bool fp16 : {false, true}) {
       HermitianParams params;
       params.tile = c.tile;
+      params.bin = c.bin;
       params.fp16_staging = fp16;
       HermitianWorkspace ws_scalar;
       HermitianWorkspace ws_simd;
@@ -289,13 +295,15 @@ TEST(SimdHermitian, TiledKernelIsBitwiseIdenticalAcrossPaths) {
           ASSERT_EQ(std::bit_cast<std::uint32_t>(a_scalar[i]),
                     std::bit_cast<std::uint32_t>(a_simd[i]))
               << "A mismatch at f=" << c.f << " tile=" << c.tile
-              << " fp16=" << fp16 << " u=" << u << " i=" << i;
+              << " bin=" << c.bin << " fp16=" << fp16 << " u=" << u
+              << " i=" << i;
         }
         for (std::size_t i = 0; i < b_scalar.size(); ++i) {
           ASSERT_EQ(std::bit_cast<std::uint32_t>(b_scalar[i]),
                     std::bit_cast<std::uint32_t>(b_simd[i]))
               << "b mismatch at f=" << c.f << " tile=" << c.tile
-              << " fp16=" << fp16 << " u=" << u << " i=" << i;
+              << " bin=" << c.bin << " fp16=" << fp16 << " u=" << u
+              << " i=" << i;
         }
       }
     }
@@ -319,6 +327,80 @@ std::vector<real_t> spd_system(std::size_t f, std::uint64_t seed) {
     a[i * f + i] += real_t{1};
   }
   return a;
+}
+
+/// The SIMD gemv's documented per-row order, replayed in plain code: lane l
+/// of a double accumulator sums the exact products of lane l of each full
+/// 8-column chunk in order, the lanes reduce as ((0+2)+(1+3))+((4+6)+(5+7)),
+/// then the leftover columns add in order.
+template <typename T>
+real_t gemv_row_in_documented_order(std::size_t n, const T* row,
+                                    const real_t* in) {
+  double lanes[8] = {};
+  const std::size_t body = n - n % 8;
+  for (std::size_t j = 0; j < body; ++j) {
+    lanes[j % 8] += static_cast<double>(load_as_float(row[j])) *
+                    static_cast<double>(in[j]);
+  }
+  double sum = ((lanes[0] + lanes[2]) + (lanes[1] + lanes[3])) +
+               ((lanes[4] + lanes[6]) + (lanes[5] + lanes[7]));
+  for (std::size_t j = body; j < n; ++j) {
+    sum += static_cast<double>(load_as_float(row[j])) *
+           static_cast<double>(in[j]);
+  }
+  return static_cast<real_t>(sum);
+}
+
+TEST(SimdCg, GemvRowsKeepTheirReductionOrder) {
+  // Interleaving rows overlaps their accumulation chains but must not touch
+  // any row's own order: every output is bitwise the documented sequence.
+  // n covers < 8 columns, leftover rows of the 4-row interleave (13, 37)
+  // and leftover columns (5, 13, 20, 37, 100).
+  for (const std::size_t n : {5ul, 8ul, 13ul, 20ul, 37ul, 100ul}) {
+    const auto a_small = random_vec(n * n, 61 + n);
+    auto in = random_vec(n, 67 + n);
+    std::vector<half> a_half(n * n);
+    float_to_half_n(a_small.data(), a_half.data(), a_small.size(),
+                    simd::KernelPath::scalar);
+    // The float A gets four ±2^40 products per row that cancel exactly, in
+    // different lanes and (for n % 8 ≠ 0) the tail: the double rounding of
+    // the O(1) terms next to them then depends on the summation order and
+    // shows in the float result, so a reordered reduction cannot pass by
+    // luck. (2^20 is past the half range, so the half A stays small.)
+    auto a = a_small;
+    const std::size_t big[] = {0, 1, n / 2, n - 1};
+    for (const std::size_t j : big) {
+      in[j] = 0x1p20f;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t k = 0; k < 4; ++k) {
+        a[i * n + big[k]] = (k + i) % 2 == 0 ? 0x1p20f : -0x1p20f;
+      }
+    }
+    std::vector<real_t> out(n);
+    std::vector<real_t> out_half(n);
+    detail::gemv(n, a.data(), in.data(), out.data(), simd::KernelPath::simd);
+    detail::gemv(n, a_half.data(), in.data(), out_half.data(),
+                 simd::KernelPath::simd);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(out[i]),
+                std::bit_cast<std::uint32_t>(gemv_row_in_documented_order(
+                    n, a.data() + i * n, in.data())))
+          << "float n=" << n << " row " << i;
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(out_half[i]),
+                std::bit_cast<std::uint32_t>(gemv_row_in_documented_order(
+                    n, a_half.data() + i * n, in.data())))
+          << "half n=" << n << " row " << i;
+    }
+    if (n >= 8) {
+      // The planted products do make the order visible: the scalar path's
+      // plain sequential sum lands on different floats.
+      std::vector<real_t> out_seq(n);
+      detail::gemv(n, a.data(), in.data(), out_seq.data(),
+                   simd::KernelPath::scalar);
+      EXPECT_NE(out_seq, out) << "n=" << n;
+    }
+  }
 }
 
 TEST(SimdCg, SolutionsAgreeAcrossPathsFloatAndHalf) {
