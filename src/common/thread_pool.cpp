@@ -166,23 +166,6 @@ void ThreadPool::parallel_for(std::size_t n, const ForBody& body) {
   wait_idle();
 }
 
-void ThreadPool::parallel_for_static(std::size_t n, const ForBody& body) {
-  if (n == 0) {
-    return;
-  }
-  const std::size_t chunks = std::min(n, size());
-  const std::size_t base = n / chunks;
-  const std::size_t extra = n % chunks;
-  std::size_t begin = 0;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t len = base + (c < extra ? 1 : 0);
-    const std::size_t end = begin + len;
-    submit([&body, begin, end, c] { body(begin, end, c); });
-    begin = end;
-  }
-  wait_idle();
-}
-
 void ThreadPool::parallel_for_chunks(std::span<const std::size_t> bounds,
                                      const ForBody& body) {
   CUMF_EXPECTS(bounds.size() >= 2, "need at least one chunk boundary pair");
@@ -192,15 +175,11 @@ void ThreadPool::parallel_for_chunks(std::span<const std::size_t> bounds,
   }
   const std::size_t chunks = bounds.size() - 1;
   const std::size_t workers = std::min(chunks, size());
-  auto next = std::make_shared<std::atomic<std::size_t>>(0);
+  auto next = std::make_shared<std::atomic<std::size_t>>(workers);
   for (std::size_t c = 0; c < workers; ++c) {
     submit([next, bounds, chunks, &body, c] {
-      for (;;) {
-        const std::size_t i =
-            next->fetch_add(1, std::memory_order_relaxed);
-        if (i >= chunks) {
-          break;
-        }
+      for (std::size_t i = c; i < chunks;
+           i = next->fetch_add(1, std::memory_order_relaxed)) {
         if (bounds[i] < bounds[i + 1]) {
           body(bounds[i], bounds[i + 1], c);
         }

@@ -76,17 +76,15 @@ class ThreadPool {
   /// race-free. Blocks until the whole range completes.
   void parallel_for(std::size_t n, const ForBody& body);
 
-  /// The pre-guided behaviour: statically partition [0, n) into `size()`
-  /// contiguous chunks, one `body` call per worker. Kept for callers that
-  /// rely on one contiguous range per worker and as the baseline the
-  /// scheduling benchmarks compare against.
-  void parallel_for_static(std::size_t n, const ForBody& body);
-
   /// Caller-weighted schedule: `bounds` is an ascending boundary list
   /// (bounds.front() == 0, bounds.back() == n) and chunk i is
-  /// [bounds[i], bounds[i+1]). Worker tasks pull chunk indices from an
-  /// atomic counter in order, so front-loading the heavy chunks (e.g. equal
-  /// total nnz per chunk) balances skewed work. Empty chunks are skipped.
+  /// [bounds[i], bounds[i+1]). Worker c runs chunk c first, then the
+  /// workers pull the remaining chunk indices from an atomic counter in
+  /// order, so front-loading the heavy chunks (e.g. equal total nnz per
+  /// chunk) balances skewed work. With no more chunks than workers the
+  /// chunk→worker map is therefore fixed: one range per worker (or device)
+  /// lands on the same per-worker scratch every run. Empty chunks are
+  /// skipped.
   void parallel_for_chunks(std::span<const std::size_t> bounds,
                            const ForBody& body);
 

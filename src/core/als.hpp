@@ -7,15 +7,35 @@
 // kernels is produced separately by core/kernel_stats.hpp against a
 // DeviceSpec, so convergence benches can plot true RMSE against modelled
 // GPU seconds.
+//
+// Every ALS training run is this one engine, varied along two axes that it
+// holds as data:
+//  - the *row source*: where a half-sweep's rows come from — the in-core
+//    CSR pair (one block at row offset 0), or a shard store's tiles walked
+//    in ooc_tile_order through a bounded TileCache with single-slot
+//    prefetch (one block per tile, at the tile's first global row);
+//  - the *partition*: how one block's rows are cut into ThreadPool tasks —
+//    ~8 nnz-balanced chunks per worker, one equal-row range per worker, or
+//    the device shards fixed at construction.
+// MultiGpuAls (in-core × device shards) and OocAlsEngine (streamed × worker
+// cuts) are constructors over this engine plus their modeled timelines.
+// Every pair runs the same als_update_rows hot loop on the same global row
+// ids, so all of them produce bit-identical factors and SolveStats.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "common/thread_pool.hpp"
 #include "core/hermitian.hpp"
 #include "core/solver.hpp"
+#include "data/shards.hpp"
 #include "linalg/dense.hpp"
 #include "metrics/roofline.hpp"
 #include "sparse/coo.hpp"
@@ -72,11 +92,67 @@ struct AlsOptions {
   std::uint64_t seed = 1;
 };
 
+/// The streamed row source's budgets (OocAlsEngine).
+struct OocOptions {
+  /// Hard host-side budget for cached decoded tiles (--host-mem). Must
+  /// admit the largest tile; smaller-than-dataset budgets are the point.
+  std::uint64_t host_mem_bytes = 0;
+  /// Modeled device memory (--device-mem). 0 = unconstrained. Overlap
+  /// needs room to double-buffer the two largest tiles beside the factors;
+  /// when the budget is too small the engine falls back to synchronous
+  /// loads (overlap_active() reports the effective mode).
+  std::uint64_t device_mem_bytes = 0;
+  /// Prefetch the next tile while the current one computes. false is the
+  /// no-overlap ablation the bench gate compares against.
+  bool overlap = true;
+  /// false exercises the buffered-read fallback instead of mmap.
+  bool use_mmap = true;
+};
+
+/// Measured wall-time breakdown of the last epoch's tile streaming.
+struct OocEpochStats {
+  double stall_s = 0.0;    ///< compute thread blocked waiting for a tile
+  double compute_s = 0.0;  ///< inside the tile row-update loops
+  double load_s = 0.0;     ///< inside tile loads (overlaps compute when
+                           ///< prefetch is on, so load_s can exceed stall_s)
+  std::uint64_t tiles = 0;        ///< tile fetches issued
+  std::uint64_t cache_hits = 0;
+  std::uint64_t cache_misses = 0;
+  std::uint64_t bytes_loaded = 0;  ///< disk bytes read on misses
+};
+
+/// The block schedule: tile visit order of sweep number `sweep` over
+/// `tiles` tiles. Serpentine — even sweeps ascend, odd sweeps descend — so
+/// consecutive sweeps of the same view share their boundary tile (an LRU
+/// hit instead of a reload). Pure function of (tiles, sweep): deterministic
+/// across worker counts, budgets, and prefetch settings.
+std::vector<std::size_t> ooc_tile_order(std::size_t tiles, int sweep);
+
+/// Contiguous range of rows owned by one device.
+struct RowRange {
+  index_t begin = 0;
+  index_t end = 0;
+  index_t size() const noexcept { return end - begin; }
+};
+
+/// Near-equal row-count partition of [0, count) into `parts` ranges. When
+/// parts > count the tail ranges are empty (a 4-GPU run on a 3-column
+/// dataset simply idles one device); count == 0 yields all-empty ranges.
+std::vector<RowRange> partition_rows(index_t count, int parts);
+
+/// Exactly `parts` contiguous shards over the rows of `r`, cut at the row
+/// boundaries of roughly equal total nnz that nnz_balanced_bounds finds.
+/// Hermitian work per row is proportional to its nnz, so this is the
+/// balance that matters for the per-device critical path; when fewer
+/// balanced cuts than `parts` exist (tiny or extremely skewed data) the
+/// tail shards are empty.
+std::vector<RowRange> nnz_balanced_shards(const CsrMatrix& r, int parts);
+
 /// Everything one worker (or one simulated device) needs to update a row
 /// without touching shared mutable state: the device analogue is a
-/// thread-block's scratch. Shared by AlsEngine (one per host worker) and
-/// MultiGpuAls (one per device), so both engines run the identical hot loop
-/// and their SolveStats/OpCounts accounting merges the same way.
+/// thread-block's scratch. The engine keeps one per partition task slot
+/// (host worker or device), so every row runs the identical hot loop and
+/// the SolveStats/OpCounts accounting merges the same way.
 struct AlsWorkerContext {
   AlsWorkerContext(std::size_t f, const SolverOptions& options,
                    const HermitianParams& hermitian)
@@ -104,11 +180,11 @@ struct AlsPhaseSeconds {
 /// naive reference kernel), optional fault injection, then the configured
 /// solve, accumulating ops/spans/stats into `ctx`. `fault_site` tags the
 /// half-sweep (0 = update-X, 1 = update-Θ) so the deterministic fault
-/// injector corrupts the same systems under any engine, schedule, worker
-/// count, or device count. Rows never read other rows of `solved`, so any
-/// disjoint partition of calls is race-free and produces bit-identical
-/// factors. `row_offset` maps local row u of `ratings` to global row
-/// u + row_offset of `solved` — the out-of-core engine passes each tile's
+/// injector corrupts the same systems under any row source, partition,
+/// worker count, or device count. Rows never read other rows of `solved`,
+/// so any disjoint partition of calls is race-free and produces
+/// bit-identical factors. `row_offset` maps local row u of `ratings` to
+/// global row u + row_offset of `solved` — a streamed tile passes its
 /// first global row here, so fault decisions and factor writes land on the
 /// same global ids as an in-core sweep.
 void als_update_rows(const AlsOptions& options, const CsrMatrix& ratings,
@@ -118,6 +194,8 @@ void als_update_rows(const AlsOptions& options, const CsrMatrix& ratings,
 
 class AlsEngine {
  public:
+  /// In-core rows cut across `options.workers` host workers under
+  /// `options.schedule`.
   AlsEngine(const RatingsCoo& train, const AlsOptions& options);
 
   /// Runs one full epoch (update-X then update-Θ).
@@ -136,8 +214,10 @@ class AlsEngine {
   /// stats so telemetry deltas and final totals span the whole logical run.
   /// The engine must have been constructed with the same ratings and
   /// options as the run that produced the snapshot; epochs are
-  /// deterministic, so the continuation is bit-identical to never having
-  /// stopped. Throws CheckError on shape mismatch.
+  /// deterministic (the tile schedule is a function of the epoch counter
+  /// alone), so the continuation is bit-identical to never having stopped,
+  /// under any row source and partition. Throws CheckError on shape
+  /// mismatch.
   void restore(const Matrix& x, const Matrix& theta, int epochs_run,
                const SolveStats& stats = SolveStats{});
 
@@ -148,11 +228,29 @@ class AlsEngine {
   const Matrix& user_factors() const noexcept { return x_; }
   const Matrix& item_factors() const noexcept { return theta_; }
 
-  const CsrMatrix& ratings_by_row() const noexcept { return r_; }
-  const CsrMatrix& ratings_by_col() const noexcept { return rt_; }
+  /// Simulated devices when the partition is device shards fixed at
+  /// construction (MultiGpuAls); 0 when rows are cut across host workers.
+  int gpus() const noexcept {
+    return static_cast<int>(device_shards_[0].size());
+  }
+
+  /// The shard layout when rows stream from a shard store (OocAlsEngine);
+  /// nullptr when they are in core.
+  const ShardMeta* streamed_meta() const noexcept {
+    return cache_ ? &cache_->meta() : nullptr;
+  }
+  /// True when tile prefetch is actually running (requested overlap minus
+  /// the budget fallback); always false in core.
+  bool overlap_active() const noexcept { return overlap_; }
+  /// Measured streaming breakdown of the last epoch; all zero in core.
+  const OocEpochStats& ooc_stats_last_epoch() const noexcept {
+    return ooc_stats_;
+  }
 
   /// Solver behaviour accumulated since construction (plus any restore()d
-  /// baseline) across all workers. CG iteration counts feed the cost model;
+  /// baseline), merged across workers or devices. The counters are integer
+  /// sums, so the merge is associative and the totals are bit-identical
+  /// under every partition. CG iteration counts feed the cost model;
   /// failures and the fallback counters stay 0 for λ > 0 on healthy data —
   /// they move only when the approximate path degrades (FP16 overflow, CG
   /// breakdown) or a system is unsolvable even exactly, in which case the
@@ -172,19 +270,45 @@ class AlsEngine {
     return phase_;
   }
 
- private:
-  using WorkerContext = AlsWorkerContext;
+ protected:
+  /// In-core rows cut into `gpus` device shards: nnz-balanced under
+  /// nnz_guided, row-count under static_rows. Each device owns one worker
+  /// context; `options.workers` is ignored.
+  AlsEngine(const RatingsCoo& train, const AlsOptions& options, int gpus);
+  /// Rows streamed from the shard store in `shard_dir`, each tile cut
+  /// across `options.workers` host workers.
+  AlsEngine(const std::string& shard_dir, const AlsOptions& options,
+            const OocOptions& ooc);
 
-  void update_side(const CsrMatrix& ratings, const Matrix& fixed,
-                   Matrix& solved, std::uint32_t fault_site);
+  /// In-core row source (empty when streamed): the train ratings by row
+  /// (update-X view) and their transpose (update-Θ view).
+  CsrMatrix r_;
+  CsrMatrix rt_;
+  /// Device-shard partition per side (0 = update-X, 1 = update-Θ); empty
+  /// when rows are cut across host workers.
+  std::array<std::vector<RowRange>, 2> device_shards_;
+
+ private:
+  /// Canonicalizes `train` into the in-core CSR pair, then init()s.
+  void load_in_core(const RatingsCoo& train, int contexts);
+  /// Warm-starts the m×f / n×f factors and builds `contexts` worker
+  /// contexts (plus a pool when there is more than one).
+  void init(index_t rows, index_t cols, double mean, int contexts);
+  void update_side(std::uint32_t side, const Matrix& fixed, Matrix& solved);
+  /// The partition: cuts of one block of `side` into pool tasks.
+  std::vector<std::size_t> row_cuts(const CsrMatrix& block,
+                                    std::uint32_t side) const;
+  void update_block(const CsrMatrix& block, const Matrix& fixed,
+                    Matrix& solved, std::uint32_t side, index_t row_offset);
 
   AlsOptions options_;
-  CsrMatrix r_;   ///< train ratings, row-major (update-X view)
-  CsrMatrix rt_;  ///< transpose (update-Θ view)
+  std::unique_ptr<TileCache> cache_;  ///< streamed row source, else null
+  bool overlap_ = false;
+  OocEpochStats ooc_stats_;
   Matrix x_;      ///< m×f user factors
   Matrix theta_;  ///< n×f item factors
-  std::vector<WorkerContext> workers_;
-  std::unique_ptr<ThreadPool> pool_;  ///< only when options_.workers > 1
+  std::vector<AlsWorkerContext> workers_;
+  std::unique_ptr<ThreadPool> pool_;  ///< only with more than one context
   int epochs_ = 0;
   OpCounts herm_ops_;
   OpCounts solve_ops_;
@@ -198,7 +322,7 @@ class AlsEngine {
 int pick_tile(std::size_t f, int requested);
 
 /// Shared warm start: entries near sqrt(mean/f) so x·θ begins at the global
-/// rating mean. Used by both the single- and multi-GPU engines.
+/// rating mean. Every row source and partition starts from it.
 void als_init_factors(Matrix& factors, double mean, std::uint64_t seed);
 
 }  // namespace cumf

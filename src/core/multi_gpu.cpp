@@ -1,189 +1,17 @@
 #include "core/multi_gpu.hpp"
 
 #include <algorithm>
-#include <cmath>
-
-#include "common/check.hpp"
-#include "prof/prof.hpp"
 
 namespace cumf {
 
-std::vector<RowRange> partition_rows(index_t count, int parts) {
-  CUMF_EXPECTS(parts > 0, "need at least one partition");
-  std::vector<RowRange> out;
-  out.reserve(static_cast<std::size_t>(parts));
-  // With parts > count this degenerates to `count` single-row ranges
-  // followed by empty tails (base = 0, extra = count) — surplus devices
-  // idle instead of the constructor throwing.
-  const index_t base = count / static_cast<index_t>(parts);
-  const index_t extra = count % static_cast<index_t>(parts);
-  index_t begin = 0;
-  for (index_t p = 0; p < static_cast<index_t>(parts); ++p) {
-    const index_t len = base + (p < extra ? 1 : 0);
-    out.push_back(RowRange{begin, begin + len});
-    begin += len;
-  }
-  CUMF_ENSURES(begin == count, "partition must cover all rows");
-  return out;
-}
-
-std::vector<RowRange> nnz_balanced_shards(const CsrMatrix& r, int parts) {
-  CUMF_EXPECTS(parts > 0, "need at least one shard");
-  const std::vector<std::size_t> bounds =
-      nnz_balanced_bounds(r, static_cast<std::size_t>(parts));
-  std::vector<RowRange> out;
-  out.reserve(static_cast<std::size_t>(parts));
-  for (std::size_t i = 0; i + 1 < bounds.size(); ++i) {
-    out.push_back(RowRange{static_cast<index_t>(bounds[i]),
-                           static_cast<index_t>(bounds[i + 1])});
-  }
-  // Fewer balanced cuts than devices: the tail devices hold empty shards.
-  while (out.size() < static_cast<std::size_t>(parts)) {
-    out.push_back(RowRange{r.rows(), r.rows()});
-  }
-  CUMF_ENSURES(out.size() == static_cast<std::size_t>(parts) &&
-                   out.front().begin == 0 && out.back().end == r.rows(),
-               "shards must cover all rows");
-  return out;
-}
-
-MultiGpuAls::MultiGpuAls(const RatingsCoo& train, const AlsOptions& options,
-                         int gpus)
-    : options_(options) {
-  CUMF_EXPECTS(gpus >= 1, "need at least one GPU");
-  CUMF_EXPECTS(options_.f > 0, "latent dimension must be positive");
-  CUMF_EXPECTS(options_.lambda > 0, "ALS-WR needs lambda > 0");
-
-  RatingsCoo canonical = train;
-  canonical.sort_and_dedup();
-  for (const Rating& e : canonical.entries()) {
-    CUMF_EXPECTS(std::isfinite(e.r), "ratings must be finite");
-  }
-  r_ = CsrMatrix::from_coo(canonical);
-  rt_ = r_.transposed();
-
-  options_.hermitian.tile = pick_tile(options_.f, options_.hermitian.tile);
-
-  x_ = Matrix(r_.rows(), options_.f);
-  theta_ = Matrix(r_.cols(), options_.f);
-  const double mean = canonical.mean_value();
-  als_init_factors(x_, mean, options_.seed);
-  als_init_factors(theta_, mean, options_.seed + 1);
-
-  // Device shards: nnz-balanced by default (hermitian work per row is
-  // proportional to its nnz, so power-law degree skew would strand an
-  // epoch behind the device that drew the head rows under a plain
-  // row-count split); AlsSchedule::static_rows keeps the row-count split
-  // as the ablation baseline.
-  if (options_.schedule == AlsSchedule::nnz_guided) {
-    x_shards_ = nnz_balanced_shards(r_, gpus);
-    theta_shards_ = nnz_balanced_shards(rt_, gpus);
-  } else {
-    x_shards_ = partition_rows(r_.rows(), gpus);
-    theta_shards_ = partition_rows(rt_.rows(), gpus);
-  }
-
-  devices_.reserve(static_cast<std::size_t>(gpus));
-  for (int d = 0; d < gpus; ++d) {
-    devices_.emplace_back(options_.f, options_.solver, options_.hermitian);
-  }
-  if (gpus > 1) {
-    pool_ = std::make_unique<ThreadPool>(static_cast<std::size_t>(gpus));
-  }
-}
-
-void MultiGpuAls::update_side(const CsrMatrix& ratings, const Matrix& fixed,
-                              Matrix& solved,
-                              const std::vector<RowRange>& shards,
-                              std::uint32_t fault_site) {
-  if (pool_ == nullptr) {
-    als_update_rows(options_, ratings, fixed, solved, shards[0].begin,
-                    shards[0].end, fault_site, devices_[0]);
-    return;
-  }
-  // One task per device, each owning its private AlsWorkerContext. Shards
-  // are disjoint row ranges, `fixed` is read-only during the sweep, and no
-  // row of `solved` is read by another row's update, so the concurrent
-  // slices are race-free and bit-identical to any sequential order.
-  for (std::size_t d = 0; d < shards.size(); ++d) {
-    const RowRange shard = shards[d];
-    if (shard.size() == 0) {
-      continue;  // surplus device: nothing to compute this half-sweep
-    }
-    AlsWorkerContext& ctx = devices_[d];
-    pool_->submit([this, &ratings, &fixed, &solved, shard, fault_site,
-                   &ctx]() {
-      CUMF_PROF_SCOPE("mgpu_shard", "mgpu");
-      als_update_rows(options_, ratings, fixed, solved, shard.begin,
-                      shard.end, fault_site, ctx);
-    });
-  }
-  // The wait is the functional all-gather: after it, every "device" (task)
-  // observes the fully updated factor matrix for the next half-sweep.
-  pool_->wait_idle();
-}
-
-void MultiGpuAls::run_epoch() {
-  CUMF_PROF_SCOPE("mgpu_epoch", "mgpu");
-  for (AlsWorkerContext& ctx : devices_) {
-    ctx.herm_ops = OpCounts{};
-    ctx.solve_ops = OpCounts{};
-    ctx.herm_ns = 0;
-    ctx.solve_ns = 0;
-  }
-  {
-    CUMF_PROF_SCOPE("mgpu_update_X", "mgpu");
-    update_side(r_, theta_, x_, x_shards_, /*fault_site=*/0);
-  }
-  {
-    CUMF_PROF_SCOPE("mgpu_update_Theta", "mgpu");
-    update_side(rt_, x_, theta_, theta_shards_, /*fault_site=*/1);
-  }
-  herm_ops_ = OpCounts{};
-  solve_ops_ = OpCounts{};
-  phase_ = PhaseSeconds{};
-  for (const AlsWorkerContext& ctx : devices_) {
-    herm_ops_ += ctx.herm_ops;
-    solve_ops_ += ctx.solve_ops;
-    phase_.hermitian += static_cast<double>(ctx.herm_ns) / 1e9;
-    phase_.solve += static_cast<double>(ctx.solve_ns) / 1e9;
-  }
-  ++epochs_;
-  if (epoch_hook_) {
-    epoch_hook_(epochs_);
-  }
-}
-
-void MultiGpuAls::restore(const Matrix& x, const Matrix& theta,
-                          int epochs_run, const SolveStats& stats) {
-  CUMF_EXPECTS(x.rows() == x_.rows() && x.cols() == x_.cols(),
-               "restore: user-factor shape mismatch");
-  CUMF_EXPECTS(theta.rows() == theta_.rows() && theta.cols() == theta_.cols(),
-               "restore: item-factor shape mismatch");
-  CUMF_EXPECTS(epochs_run >= 0, "restore: negative epoch counter");
-  x_ = x;
-  theta_ = theta;
-  epochs_ = epochs_run;
-  restored_stats_ = stats;
-  for (AlsWorkerContext& ctx : devices_) {
-    ctx.solver.reset_stats();
-  }
-}
-
-SolveStats MultiGpuAls::solve_stats() const noexcept {
-  SolveStats total = restored_stats_;
-  for (const AlsWorkerContext& ctx : devices_) {
-    total += ctx.solver.stats();
-  }
-  return total;
-}
-
-MultiGpuHalfSweep MultiGpuAls::half_sweep_timeline(
-    const gpusim::DeviceSpec& dev, const AlsKernelConfig& config,
-    const gpusim::LinkSpec& link, const CsrMatrix& ratings,
-    const std::vector<RowRange>& shards, bool overlap) const {
+MultiGpuHalfSweep multi_gpu_half_sweep(const gpusim::DeviceSpec& dev,
+                                       const AlsKernelConfig& config,
+                                       const gpusim::LinkSpec& link,
+                                       const CsrMatrix& view,
+                                       const std::vector<RowRange>& shards,
+                                       bool overlap) {
   MultiGpuHalfSweep sweep;
-  const std::vector<nnz_t>& ptr = ratings.row_ptr();
+  const std::vector<nnz_t>& ptr = view.row_ptr();
   std::vector<double> slice_bytes;
   slice_bytes.reserve(shards.size());
   sweep.device_compute_s.reserve(shards.size());
@@ -194,7 +22,7 @@ MultiGpuHalfSweep MultiGpuAls::half_sweep_timeline(
     if (shard.size() > 0) {
       const UpdateShape shape{
           static_cast<double>(shard.size()),
-          static_cast<double>(ratings.cols()),
+          static_cast<double>(view.cols()),
           static_cast<double>(ptr[shard.end] - ptr[shard.begin])};
       compute = update_phase_times(dev, shape, config).total_seconds();
     }
@@ -211,7 +39,7 @@ MultiGpuHalfSweep MultiGpuAls::half_sweep_timeline(
       // pipeline bound — the longer of compute and comm dominates, plus
       // one fill of the shorter stage; only the excess over compute is
       // exposed as communication time.
-      const double c = kOverlapPipelineDepth;
+      const double c = MultiGpuAls::kOverlapPipelineDepth;
       const double wall =
           std::max(sweep.compute_s, sweep.comm_total_s) +
           std::min(sweep.compute_s, sweep.comm_total_s) / c;
@@ -228,10 +56,10 @@ MultiGpuTimeline MultiGpuAls::epoch_timeline(const gpusim::DeviceSpec& dev,
                                              const gpusim::LinkSpec& link,
                                              bool overlap) const {
   MultiGpuTimeline timeline;
-  timeline.update_x =
-      half_sweep_timeline(dev, config, link, r_, x_shards_, overlap);
-  timeline.update_theta =
-      half_sweep_timeline(dev, config, link, rt_, theta_shards_, overlap);
+  timeline.update_x = multi_gpu_half_sweep(dev, config, link, r_,
+                                           device_shards_[0], overlap);
+  timeline.update_theta = multi_gpu_half_sweep(dev, config, link, rt_,
+                                               device_shards_[1], overlap);
   return timeline;
 }
 
@@ -261,12 +89,6 @@ MultiGpuScaling MultiGpuAls::scaling_report(const gpusim::DeviceSpec& dev,
   report.comm_fraction =
       report.total_s > 0 ? report.comm_s / report.total_s : 0.0;
   return report;
-}
-
-double MultiGpuAls::epoch_seconds(const gpusim::DeviceSpec& dev,
-                                  const AlsKernelConfig& config,
-                                  const gpusim::LinkSpec& link) const {
-  return epoch_timeline(dev, config, link).total_s();
 }
 
 }  // namespace cumf

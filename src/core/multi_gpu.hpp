@@ -5,44 +5,21 @@
 // with its own solver and hermitian workspace, and the updated slices are
 // all-gathered over NVLink before the next half-sweep. Because ALS row
 // updates are independent, the partitioned computation is bit-identical to
-// the single-device one — the functional driver here runs the slices
-// genuinely concurrently (one ThreadPool task per device, private
-// AlsWorkerContext each) and verifies that invariant, while the time model
-// charges per-device compute plus interconnect traffic with a pipelined
-// compute/communication overlap bound.
+// the single-device one. Functionally this is AlsEngine with the in-core
+// row source cut into device shards (one pool task and private
+// AlsWorkerContext per device); the time model here charges per-device
+// compute plus interconnect traffic with a pipelined compute/communication
+// overlap bound.
 #pragma once
 
-#include <functional>
-#include <memory>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "core/als.hpp"
 #include "core/kernel_stats.hpp"
 #include "gpusim/device.hpp"
 #include "gpusim/interconnect.hpp"
 
 namespace cumf {
-
-/// Contiguous range of rows owned by one device.
-struct RowRange {
-  index_t begin = 0;
-  index_t end = 0;
-  index_t size() const noexcept { return end - begin; }
-};
-
-/// Near-equal row-count partition of [0, count) into `parts` ranges. When
-/// parts > count the tail ranges are empty (a 4-GPU run on a 3-column
-/// dataset simply idles one device); count == 0 yields all-empty ranges.
-std::vector<RowRange> partition_rows(index_t count, int parts);
-
-/// Exactly `parts` contiguous shards over the rows of `r`, cut at the row
-/// boundaries of roughly equal total nnz that nnz_balanced_bounds finds.
-/// Hermitian work per row is proportional to its nnz, so this is the
-/// balance that matters for the per-device critical path; when fewer
-/// balanced cuts than `parts` exist (tiny or extremely skewed data) the
-/// tail shards are empty.
-std::vector<RowRange> nnz_balanced_shards(const CsrMatrix& r, int parts);
 
 /// Modeled wall time of one half-sweep on g concurrent devices.
 struct MultiGpuHalfSweep {
@@ -80,82 +57,36 @@ struct MultiGpuScaling {
   double comm_fraction = 0.0; ///< comm_s / total_s
 };
 
-/// Drop-in multi-device counterpart of AlsEngine: same construction
-/// invariants, same hot loop (als_update_rows), same epoch hook /
-/// restore / SolveStats surface, so cumf_train drives either engine
-/// through one templated loop. Parallelism is per *device*: each of the
-/// `gpus` shards runs as one ThreadPool task with a private
-/// AlsWorkerContext (solver + hermitian workspace + scratch), mirroring
-/// how each physical GPU owns its slice. `options.workers` is ignored —
-/// the device count is the parallelism knob here.
-class MultiGpuAls {
+/// Models one half-sweep of `view`'s rows cut into device `shards` joined
+/// by `link`: per-device compute from the cost model evaluated at each
+/// shard's actual rows/nnz, a ragged ring all-gather of the updated slices,
+/// and (when `overlap` is true) a pipelined overlap bound — devices stream
+/// finished row blocks into the ring while computing the remainder, so a
+/// half-sweep costs max(compute, comm) + min(compute, comm)/C with C =
+/// MultiGpuAls::kOverlapPipelineDepth chunks instead of compute + comm.
+MultiGpuHalfSweep multi_gpu_half_sweep(const gpusim::DeviceSpec& dev,
+                                       const AlsKernelConfig& config,
+                                       const gpusim::LinkSpec& link,
+                                       const CsrMatrix& view,
+                                       const std::vector<RowRange>& shards,
+                                       bool overlap);
+
+/// AlsEngine over the in-core rows cut into `gpus` device shards (see
+/// AlsEngine's protected device constructor), plus the modeled multi-device
+/// timeline of that partition.
+class MultiGpuAls : public AlsEngine {
  public:
-  MultiGpuAls(const RatingsCoo& train, const AlsOptions& options, int gpus);
+  MultiGpuAls(const RatingsCoo& train, const AlsOptions& options, int gpus)
+      : AlsEngine(train, options, gpus) {}
 
-  /// One epoch: every simulated device updates its row shard of X (then of
-  /// Θ) against the shared fixed matrix, concurrently; the half-sweep
-  /// barrier between the two updates is the functional equivalent of the
-  /// NVLink all-gather.
-  void run_epoch();
-
-  /// Per-epoch hook, invoked at the end of every run_epoch() with the new
-  /// epochs_run() value — the checkpoint attachment point, identical in
-  /// contract to AlsEngine::set_epoch_hook.
-  using EpochHook = std::function<void(int epoch)>;
-  void set_epoch_hook(EpochHook hook) { epoch_hook_ = std::move(hook); }
-
-  /// Resumes from checkpointed state; same contract as AlsEngine::restore
-  /// (epochs are deterministic, so the continuation is bit-identical, and
-  /// `stats` seeds solve_stats() so totals span the whole logical run).
-  void restore(const Matrix& x, const Matrix& theta, int epochs_run,
-               const SolveStats& stats = SolveStats{});
-
-  int gpus() const noexcept { return static_cast<int>(devices_.size()); }
-  const AlsOptions& options() const noexcept { return options_; }
-  std::size_t f() const noexcept { return options_.f; }
-  const Matrix& user_factors() const noexcept { return x_; }
-  const Matrix& item_factors() const noexcept { return theta_; }
-  int epochs_run() const noexcept { return epochs_; }
-
-  const CsrMatrix& ratings_by_row() const noexcept { return r_; }
-  const CsrMatrix& ratings_by_col() const noexcept { return rt_; }
-
-  /// Device shard boundaries (nnz-balanced under the default nnz_guided
-  /// schedule; row-count split under static_rows).
+  /// Device shard boundaries of the update-X rows (nnz-balanced under the
+  /// default nnz_guided schedule; row-count split under static_rows).
   const std::vector<RowRange>& user_shards() const noexcept {
-    return x_shards_;
-  }
-  const std::vector<RowRange>& item_shards() const noexcept {
-    return theta_shards_;
+    return device_shards_[0];
   }
 
-  /// Solver behaviour accumulated since construction (plus any restore()d
-  /// baseline), merged across devices in device order. The counters are
-  /// integer sums, so the merge is associative and the totals are
-  /// bit-identical to the gpus=1 (and AlsEngine) run.
-  SolveStats solve_stats() const noexcept;
-
-  /// Operations actually performed per epoch (measured, not analytic),
-  /// merged across devices.
-  const OpCounts& hermitian_ops_per_epoch() const noexcept {
-    return herm_ops_;
-  }
-  const OpCounts& solve_ops_per_epoch() const noexcept { return solve_ops_; }
-
-  /// Per-phase host seconds summed across devices (cuprof-gated, like
-  /// AlsEngine::phase_seconds_last_epoch).
-  using PhaseSeconds = AlsPhaseSeconds;
-  const PhaseSeconds& phase_seconds_last_epoch() const noexcept {
-    return phase_;
-  }
-
-  /// Modeled epoch timeline on `dev` devices joined by `link`: per-device
-  /// compute from the cost model evaluated at each shard's actual
-  /// rows/nnz, a ragged ring all-gather after each half-sweep, and (when
-  /// `overlap` is true) a pipelined overlap bound — devices stream
-  /// finished row blocks into the ring while computing the remainder, so a
-  /// half-sweep costs max(compute, comm) + min(compute, comm)/C with C =
-  /// kOverlapPipelineDepth chunks instead of compute + comm.
+  /// Modeled epoch timeline on `dev` devices joined by `link`: both
+  /// half-sweeps of multi_gpu_half_sweep over this engine's shards.
   MultiGpuTimeline epoch_timeline(const gpusim::DeviceSpec& dev,
                                   const AlsKernelConfig& config,
                                   const gpusim::LinkSpec& link,
@@ -168,43 +99,10 @@ class MultiGpuAls {
                                  const gpusim::LinkSpec& link,
                                  bool overlap = true) const;
 
-  /// Simulated seconds per epoch: epoch_timeline(...).total_s().
-  double epoch_seconds(const gpusim::DeviceSpec& dev,
-                       const AlsKernelConfig& config,
-                       const gpusim::LinkSpec& link) const;
-
   /// Pipeline depth of the overlap model: each device exchanges its shard
   /// in this many chunks, so all but one chunk of the all-gather can hide
   /// under compute.
   static constexpr int kOverlapPipelineDepth = 8;
-
- private:
-  void update_side(const CsrMatrix& ratings, const Matrix& fixed,
-                   Matrix& solved, const std::vector<RowRange>& shards,
-                   std::uint32_t fault_site);
-
-  MultiGpuHalfSweep half_sweep_timeline(const gpusim::DeviceSpec& dev,
-                                        const AlsKernelConfig& config,
-                                        const gpusim::LinkSpec& link,
-                                        const CsrMatrix& ratings,
-                                        const std::vector<RowRange>& shards,
-                                        bool overlap) const;
-
-  AlsOptions options_;
-  CsrMatrix r_;
-  CsrMatrix rt_;
-  Matrix x_;
-  Matrix theta_;
-  std::vector<RowRange> x_shards_;      ///< row shard of X per device
-  std::vector<RowRange> theta_shards_;  ///< row shard of Θ per device
-  std::vector<AlsWorkerContext> devices_;  ///< one private context per GPU
-  std::unique_ptr<ThreadPool> pool_;       ///< gpus workers; null when 1
-  int epochs_ = 0;
-  OpCounts herm_ops_;
-  OpCounts solve_ops_;
-  PhaseSeconds phase_;
-  EpochHook epoch_hook_;
-  SolveStats restored_stats_;  ///< baseline from restore(), added on read
 };
 
 }  // namespace cumf

@@ -1,43 +1,10 @@
 #include "core/ooc_als.hpp"
 
-#include <algorithm>
-#include <chrono>
 #include <map>
 #include <numeric>
 #include <utility>
 
-#include "common/check.hpp"
-#include "prof/prof.hpp"
-
 namespace cumf {
-namespace {
-
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-std::uint64_t largest_tile_bytes(const ShardMeta& meta) {
-  std::uint64_t largest = 0;
-  for (const std::vector<TileRange>* table : {&meta.row_tiles,
-                                              &meta.col_tiles}) {
-    for (const TileRange& t : *table) {
-      largest = std::max(largest, tile_resident_bytes(t));
-    }
-  }
-  return largest;
-}
-
-}  // namespace
-
-std::vector<std::size_t> ooc_tile_order(std::size_t tiles, int sweep) {
-  std::vector<std::size_t> order(tiles);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  if (sweep % 2 != 0) {
-    std::reverse(order.begin(), order.end());
-  }
-  return order;
-}
 
 OocTimeline ooc_epoch_timeline(const gpusim::DeviceSpec& dev,
                                const AlsKernelConfig& config,
@@ -88,169 +55,6 @@ OocTimeline ooc_epoch_timeline(const gpusim::DeviceSpec& dev,
   }
   tl.overlap_gain = tl.pipelined_s > 0 ? tl.serial_s / tl.pipelined_s : 1.0;
   return tl;
-}
-
-OocAlsEngine::OocAlsEngine(const std::string& shard_dir,
-                           const AlsOptions& options, const OocOptions& ooc)
-    : options_(options),
-      cache_(shard_dir, read_shard_meta(shard_dir),
-             TileCacheOptions{ooc.host_mem_bytes, ooc.use_mmap}) {
-  CUMF_EXPECTS(options_.f > 0, "latent dimension must be positive");
-  CUMF_EXPECTS(options_.lambda > 0, "ALS-WR needs lambda > 0");
-  CUMF_EXPECTS(options_.workers >= 1, "need at least one worker");
-  options_.hermitian.tile = pick_tile(options_.f, options_.hermitian.tile);
-
-  const ShardMeta& meta = cache_.meta();
-  x_ = Matrix(meta.rows, options_.f);
-  theta_ = Matrix(meta.cols, options_.f);
-  // meta.mean is the bit-exact mean_value() of the canonical train split,
-  // so this warm start is byte-for-byte the one AlsEngine computes.
-  als_init_factors(x_, meta.mean, options_.seed);
-  als_init_factors(theta_, meta.mean, options_.seed + 1);
-
-  // Prefetch keeps two tiles in flight (one computing, one loading), so it
-  // needs headroom for both in the host cache and, when a device budget is
-  // modeled, room to double-buffer them beside the factors. Without the
-  // headroom the engine degrades to synchronous loads instead of lying
-  // about the budget.
-  const std::uint64_t largest = largest_tile_bytes(meta);
-  overlap_ = ooc.overlap && ooc.host_mem_bytes >= 2 * largest &&
-             (ooc.device_mem_bytes == 0 ||
-              ooc.device_mem_bytes >= 2 * largest);
-
-  workers_.reserve(static_cast<std::size_t>(options_.workers));
-  for (int w = 0; w < options_.workers; ++w) {
-    workers_.emplace_back(options_.f, options_.solver, options_.hermitian);
-  }
-  if (options_.workers > 1) {
-    pool_ = std::make_unique<ThreadPool>(
-        static_cast<std::size_t>(options_.workers));
-  }
-}
-
-void OocAlsEngine::compute_tile(const CsrTile& tile, const Matrix& fixed,
-                                Matrix& solved, std::uint32_t fault_site) {
-  const auto offset = tile.row_begin;
-  if (pool_ == nullptr) {
-    als_update_rows(options_, tile.csr, fixed, solved, 0, tile.csr.rows(),
-                    fault_site, workers_[0], offset);
-    return;
-  }
-  const auto body = [&](std::size_t begin, std::size_t end,
-                        std::size_t worker) {
-    als_update_rows(options_, tile.csr, fixed, solved,
-                    static_cast<index_t>(begin), static_cast<index_t>(end),
-                    fault_site, workers_[worker], offset);
-  };
-  if (options_.schedule == AlsSchedule::nnz_guided) {
-    const std::vector<std::size_t> bounds =
-        nnz_balanced_bounds(tile.csr, 8 * pool_->size());
-    pool_->parallel_for_chunks(bounds, body);
-  } else {
-    pool_->parallel_for_static(tile.csr.rows(), body);
-  }
-}
-
-void OocAlsEngine::update_side(TileView view, const Matrix& fixed,
-                               Matrix& solved, std::uint32_t fault_site) {
-  const std::vector<TileRange>& table = cache_.meta().tiles(view);
-  // The schedule depends only on (tile count, epoch counter): deterministic
-  // across worker counts and budgets, and restore(epochs) re-enters the
-  // identical sweep sequence.
-  const std::vector<std::size_t> order =
-      ooc_tile_order(table.size(), epochs_);
-  const bool profiled = prof::Tracer::enabled();
-  std::future<std::shared_ptr<const CsrTile>> pending;
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    // Wait for the tile (prefetched by the previous iteration, or loaded
-    // synchronously); the blocked time is the exposed transfer stall.
-    const std::uint64_t w0 = profiled ? prof::now_ns() : 0;
-    const auto wait0 = std::chrono::steady_clock::now();
-    std::shared_ptr<const CsrTile> tile =
-        pending.valid() ? pending.get() : cache_.get(view, order[i]);
-    ooc_stats_.stall_s += seconds_since(wait0);
-    if (profiled) {
-      prof::Tracer::instance().complete_span("ooc_wait_tile", "ooc", w0,
-                                             prof::now_ns());
-    }
-    if (overlap_ && i + 1 < order.size()) {
-      const std::size_t next = order[i + 1];
-      pending = std::async(std::launch::async,
-                           [this, view, next] { return cache_.get(view, next); });
-    }
-    const std::uint64_t c0 = profiled ? prof::now_ns() : 0;
-    const auto comp0 = std::chrono::steady_clock::now();
-    compute_tile(*tile, fixed, solved, fault_site);
-    ooc_stats_.compute_s += seconds_since(comp0);
-    if (profiled) {
-      prof::Tracer::instance().complete_span("ooc_tile_compute", "ooc", c0,
-                                             prof::now_ns());
-    }
-    ++ooc_stats_.tiles;
-  }
-}
-
-void OocAlsEngine::run_epoch() {
-  CUMF_PROF_SCOPE("ooc_epoch", "ooc");
-  for (AlsWorkerContext& ctx : workers_) {
-    ctx.herm_ops = OpCounts{};
-    ctx.solve_ops = OpCounts{};
-    ctx.herm_ns = 0;
-    ctx.solve_ns = 0;
-  }
-  ooc_stats_ = OocEpochStats{};
-  const TileCache::Stats before = cache_.stats();
-  {
-    CUMF_PROF_SCOPE("ooc_update_X", "ooc");
-    update_side(TileView::by_row, theta_, x_, /*fault_site=*/0);
-  }
-  {
-    CUMF_PROF_SCOPE("ooc_update_Theta", "ooc");
-    update_side(TileView::by_col, x_, theta_, /*fault_site=*/1);
-  }
-  const TileCache::Stats after = cache_.stats();
-  ooc_stats_.cache_hits = after.hits - before.hits;
-  ooc_stats_.cache_misses = after.misses - before.misses;
-  ooc_stats_.bytes_loaded = after.bytes_loaded - before.bytes_loaded;
-  ooc_stats_.load_s = after.load_seconds - before.load_seconds;
-
-  herm_ops_ = OpCounts{};
-  solve_ops_ = OpCounts{};
-  phase_ = PhaseSeconds{};
-  for (const AlsWorkerContext& ctx : workers_) {
-    herm_ops_ += ctx.herm_ops;
-    solve_ops_ += ctx.solve_ops;
-    phase_.hermitian += static_cast<double>(ctx.herm_ns) / 1e9;
-    phase_.solve += static_cast<double>(ctx.solve_ns) / 1e9;
-  }
-  ++epochs_;
-  if (epoch_hook_) {
-    epoch_hook_(epochs_);
-  }
-}
-
-void OocAlsEngine::restore(const Matrix& x, const Matrix& theta,
-                           int epochs_run, const SolveStats& stats) {
-  CUMF_EXPECTS(x.rows() == x_.rows() && x.cols() == x_.cols(),
-               "restore: user-factor shape mismatch");
-  CUMF_EXPECTS(theta.rows() == theta_.rows() && theta.cols() == theta_.cols(),
-               "restore: item-factor shape mismatch");
-  CUMF_EXPECTS(epochs_run >= 0, "restore: negative epoch counter");
-  x_ = x;
-  theta_ = theta;
-  epochs_ = epochs_run;
-  restored_stats_ = stats;
-  for (AlsWorkerContext& ctx : workers_) {
-    ctx.solver.reset_stats();
-  }
-}
-
-SolveStats OocAlsEngine::solve_stats() const noexcept {
-  SolveStats total = restored_stats_;
-  for (const AlsWorkerContext& ctx : workers_) {
-    total += ctx.solver.stats();
-  }
-  return total;
 }
 
 }  // namespace cumf

@@ -4,28 +4,24 @@
 // while the ratings live in checksummed tile files (data/shards.hpp) and
 // flow through a bounded host cache. One epoch is the usual two half-sweeps,
 // but each half-sweep walks its view tile by tile: the block scheduler
-// orders tiles serpentine across sweeps (ascending, then descending) so the
-// boundary tile of one sweep is the first tile of the next — the only reuse
-// a strict two-view sweep structure admits — and a single-slot prefetch
-// loads tile i+1 while tile i computes, the same pipelining the PR 5
-// multi-GPU timeline applies to communication. Transfers are charged
-// through gpusim/interconnect in the modeled timeline; the measured
-// per-epoch transfer/stall/compute breakdown feeds cuprof spans and the
-// --metrics telemetry.
+// (ooc_tile_order) orders tiles serpentine across sweeps (ascending, then
+// descending) so the boundary tile of one sweep is the first tile of the
+// next — the only reuse a strict two-view sweep structure admits — and a
+// single-slot prefetch loads tile i+1 while tile i computes, the same
+// pipelining the multi-GPU timeline applies to communication. Functionally
+// this is AlsEngine's streamed row source; transfers are charged through
+// gpusim/interconnect in the modeled timeline here, and the measured
+// per-epoch transfer/stall/compute breakdown (OocEpochStats) feeds cuprof
+// spans and the --metrics telemetry.
 //
 // Row updates are independent and every tile row carries its global row id,
-// so streamed training is bit-identical to AlsEngine on the same split —
-// the PR 5 regression bar — under any tile count, host budget, worker
-// count, or overlap setting.
+// so streamed training is bit-identical to the in-core AlsEngine on the
+// same split under any tile count, host budget, worker count, schedule, or
+// overlap setting.
 #pragma once
 
-#include <cstdint>
-#include <functional>
-#include <future>
-#include <memory>
-#include <vector>
+#include <string>
 
-#include "common/thread_pool.hpp"
 #include "core/als.hpp"
 #include "core/kernel_stats.hpp"
 #include "data/shards.hpp"
@@ -33,34 +29,6 @@
 #include "gpusim/interconnect.hpp"
 
 namespace cumf {
-
-struct OocOptions {
-  /// Hard host-side budget for cached decoded tiles (--host-mem). Must
-  /// admit the largest tile; smaller-than-dataset budgets are the point.
-  std::uint64_t host_mem_bytes = 0;
-  /// Modeled device memory (--device-mem). 0 = unconstrained. Overlap
-  /// needs room to double-buffer the two largest tiles beside the factors;
-  /// when the budget is too small the engine falls back to synchronous
-  /// loads (overlap_active() reports the effective mode).
-  std::uint64_t device_mem_bytes = 0;
-  /// Prefetch the next tile while the current one computes. false is the
-  /// no-overlap ablation the bench gate compares against.
-  bool overlap = true;
-  /// false exercises the buffered-read fallback instead of mmap.
-  bool use_mmap = true;
-};
-
-/// Measured wall-time breakdown of the last epoch's tile streaming.
-struct OocEpochStats {
-  double stall_s = 0.0;    ///< compute thread blocked waiting for a tile
-  double compute_s = 0.0;  ///< inside the tile row-update loops
-  double load_s = 0.0;     ///< inside tile loads (overlaps compute when
-                           ///< prefetch is on, so load_s can exceed stall_s)
-  std::uint64_t tiles = 0;        ///< tile fetches issued
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t bytes_loaded = 0;  ///< disk bytes read on misses
-};
 
 /// Modeled epoch timeline of a streamed run: per-tile transfers charged to
 /// `link`, per-tile compute from the cost model, pipelined per half-sweep.
@@ -72,13 +40,6 @@ struct OocTimeline {
   double overlap_gain = 0.0; ///< serial_s / pipelined_s
 };
 
-/// The block schedule: tile visit order of sweep number `sweep` over
-/// `tiles` tiles. Serpentine — even sweeps ascend, odd sweeps descend — so
-/// consecutive sweeps of the same view share their boundary tile (an LRU
-/// hit instead of a reload). Pure function of (tiles, sweep): deterministic
-/// across worker counts, budgets, and prefetch settings.
-std::vector<std::size_t> ooc_tile_order(std::size_t tiles, int sweep);
-
 /// Models a streamed epoch for a shard layout without touching tile files —
 /// the engine's epoch_timeline and the full-scale Hugewiki bench both feed
 /// through here. Per tile: transfer of its on-disk bytes over `link`,
@@ -89,89 +50,24 @@ OocTimeline ooc_epoch_timeline(const gpusim::DeviceSpec& dev,
                                const gpusim::LinkSpec& link,
                                const ShardMeta& meta, bool overlap = true);
 
-/// Drop-in streamed counterpart of AlsEngine: constructed from a shard
-/// directory instead of a RatingsCoo, same epoch hook / restore /
-/// SolveStats surface, so cumf_train drives it through the same templated
-/// loop (checkpoint/resume, fault injection and the degradation ladder work
-/// unchanged). `options.workers` parallelizes rows *within* a tile.
-class OocAlsEngine {
+/// AlsEngine over the tiles of the shard store in `shard_dir` (see
+/// AlsEngine's protected streamed constructor), plus the modeled timeline
+/// of that layout. `options.workers` parallelizes rows *within* a tile.
+class OocAlsEngine : public AlsEngine {
  public:
   OocAlsEngine(const std::string& shard_dir, const AlsOptions& options,
-               const OocOptions& ooc);
+               const OocOptions& ooc)
+      : AlsEngine(shard_dir, options, ooc) {}
 
-  /// One epoch: update-X streams the by-row tiles, update-Θ the by-col
-  /// tiles, each in this sweep's serpentine order with single-slot
-  /// prefetch (when overlap is active).
-  void run_epoch();
-
-  using EpochHook = std::function<void(int epoch)>;
-  void set_epoch_hook(EpochHook hook) { epoch_hook_ = std::move(hook); }
-
-  /// Same contract as AlsEngine::restore: epochs are deterministic (the
-  /// tile schedule is a function of the epoch counter alone), so the
-  /// continuation is bit-identical to never having stopped.
-  void restore(const Matrix& x, const Matrix& theta, int epochs_run,
-               const SolveStats& stats = SolveStats{});
-
-  int epochs_run() const noexcept { return epochs_; }
-  std::size_t f() const noexcept { return options_.f; }
-  const AlsOptions& options() const noexcept { return options_; }
-  const ShardMeta& meta() const noexcept { return cache_.meta(); }
-  const Matrix& user_factors() const noexcept { return x_; }
-  const Matrix& item_factors() const noexcept { return theta_; }
-
-  /// True when prefetch is actually running (requested overlap minus the
-  /// device-budget fallback).
-  bool overlap_active() const noexcept { return overlap_; }
-
-  SolveStats solve_stats() const noexcept;
-  const OpCounts& hermitian_ops_per_epoch() const noexcept {
-    return herm_ops_;
-  }
-  const OpCounts& solve_ops_per_epoch() const noexcept { return solve_ops_; }
-  using PhaseSeconds = AlsPhaseSeconds;
-  const PhaseSeconds& phase_seconds_last_epoch() const noexcept {
-    return phase_;
-  }
-
-  /// Measured streaming breakdown of the last epoch.
-  const OocEpochStats& ooc_stats_last_epoch() const noexcept {
-    return ooc_stats_;
-  }
-  /// Cumulative tile-cache counters since construction.
-  TileCache::Stats cache_stats() const { return cache_.stats(); }
-  std::uint64_t cache_budget_bytes() const noexcept {
-    return cache_.budget_bytes();
-  }
+  const ShardMeta& meta() const noexcept { return *streamed_meta(); }
 
   /// Modeled streamed-epoch timeline for this shard layout on `dev`/`link`.
   OocTimeline epoch_timeline(const gpusim::DeviceSpec& dev,
                              const AlsKernelConfig& config,
                              const gpusim::LinkSpec& link,
                              bool overlap = true) const {
-    return ooc_epoch_timeline(dev, config, link, cache_.meta(), overlap);
+    return ooc_epoch_timeline(dev, config, link, meta(), overlap);
   }
-
- private:
-  void update_side(TileView view, const Matrix& fixed, Matrix& solved,
-                   std::uint32_t fault_site);
-  void compute_tile(const CsrTile& tile, const Matrix& fixed, Matrix& solved,
-                    std::uint32_t fault_site);
-
-  AlsOptions options_;
-  TileCache cache_;
-  bool overlap_ = true;
-  Matrix x_;
-  Matrix theta_;
-  std::vector<AlsWorkerContext> workers_;
-  std::unique_ptr<ThreadPool> pool_;  ///< only when options_.workers > 1
-  int epochs_ = 0;
-  OpCounts herm_ops_;
-  OpCounts solve_ops_;
-  PhaseSeconds phase_;
-  OocEpochStats ooc_stats_;
-  EpochHook epoch_hook_;
-  SolveStats restored_stats_;
 };
 
 }  // namespace cumf

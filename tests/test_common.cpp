@@ -275,25 +275,6 @@ TEST(ThreadPool, ConcurrentSubmitsFromManyWorkers) {
   EXPECT_EQ(counter.load(), 32 * 16);
 }
 
-TEST(ThreadPool, ParallelForStaticCoversEveryIndexExactlyOnce) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> touched(97);
-  std::atomic<int> calls{0};
-  pool.parallel_for_static(
-      touched.size(),
-      [&](std::size_t begin, std::size_t end, std::size_t) {
-        calls.fetch_add(1);
-        for (std::size_t i = begin; i < end; ++i) {
-          touched[i].fetch_add(1);
-        }
-      });
-  for (const auto& t : touched) {
-    EXPECT_EQ(t.load(), 1);
-  }
-  // Static partition: exactly one contiguous call per worker.
-  EXPECT_EQ(calls.load(), 3);
-}
-
 TEST(ThreadPool, ParallelForWorkerIdsStayWithinPoolSize) {
   // The guided schedule hands each worker id to exactly one task, so bodies
   // may index per-worker scratch with it; ids must never exceed size().
@@ -332,6 +313,27 @@ TEST(ThreadPool, ParallelForChunksRespectsBoundaries) {
   for (const auto& t : touched) {
     EXPECT_EQ(t.load(), 1);
   }
+}
+
+TEST(ThreadPool, ParallelForChunksPinsChunkToWorkerWhenNotMoreChunks) {
+  // One range per worker (or device): chunk c must run on worker c every
+  // time, so per-worker accumulators see the same rows on every run.
+  ThreadPool pool(4);
+  const std::vector<std::size_t> bounds{0, 5, 5, 9, 20};
+  std::vector<std::atomic<int>> seen(4);
+  for (int rep = 0; rep < 20; ++rep) {
+    pool.parallel_for_chunks(
+        bounds, [&](std::size_t begin, std::size_t end, std::size_t w) {
+          ASSERT_LT(w, 4u);
+          EXPECT_EQ(begin, bounds[w]);
+          EXPECT_EQ(end, bounds[w + 1]);
+          seen[w].fetch_add(1);
+        });
+  }
+  EXPECT_EQ(seen[0].load(), 20);
+  EXPECT_EQ(seen[1].load(), 0);  // the empty [5,5) chunk is skipped
+  EXPECT_EQ(seen[2].load(), 20);
+  EXPECT_EQ(seen[3].load(), 20);
 }
 
 TEST(ThreadPool, ParallelForChunksRejectsBadBounds) {

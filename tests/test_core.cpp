@@ -781,9 +781,10 @@ TEST(MultiGpu, EpochTimeImprovesWithMoreGpus) {
   MultiGpuAls four(data.ratings, options, 4);
   const auto dev = gpusim::DeviceSpec::pascal_p100();
   const auto config = AlsKernelConfig{};
-  const double t1 = one.epoch_seconds(dev, config, gpusim::LinkSpec::nvlink());
+  const double t1 =
+      one.epoch_timeline(dev, config, gpusim::LinkSpec::nvlink()).total_s();
   const double t4 =
-      four.epoch_seconds(dev, config, gpusim::LinkSpec::nvlink());
+      four.epoch_timeline(dev, config, gpusim::LinkSpec::nvlink()).total_s();
   EXPECT_LT(t4, t1);
   EXPECT_GT(t4, t1 / 4.0);  // communication keeps it sublinear
 }

@@ -1,8 +1,9 @@
 // Out-of-core layer: shard store round-trip and rejection taxonomy, the
-// serpentine block schedule, the bounded tile cache, and the streamed
-// engine's bit-identity to AlsEngine (the same regression bar the multi-GPU
-// engine meets). The CLI-level leg (cumf_shard build → streamed train →
-// cmp against in-core, plus crash/resume) runs in tools/CMakeLists.txt.
+// serpentine block schedule, the bounded tile cache, and the streamed row
+// source's bit-identity to the in-core AlsEngine under both worker
+// partitions (the same regression bar the device-shard partition meets).
+// The CLI-level leg (cumf_shard build → streamed train → cmp against
+// in-core, plus crash/resume) runs in tools/CMakeLists.txt.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -10,6 +11,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -306,7 +308,23 @@ struct OocCase {
   bool use_mmap;
   bool tight_budget;
   SolverKind solver;
+  AlsSchedule schedule = AlsSchedule::nnz_guided;
 };
+
+/// Prints a case as its readable name, e.g. w4_overlap_mmap_tight_cg32.
+/// gtest would otherwise print the raw bytes of OocCase, padding included,
+/// and gtest_discover_tests builds the ctest name from this printout (a
+/// name generator would not help: CMake appends the printed parameter to
+/// any non-numeric test suffix).
+void PrintTo(const OocCase& c, std::ostream* os) {
+  const char* solver = c.solver == SolverKind::CgFp16         ? "cg16"
+                       : c.solver == SolverKind::CholeskyFp32 ? "cholesky"
+                                                              : "cg32";
+  *os << 'w' << c.workers << (c.overlap ? "_overlap" : "_sync")
+      << (c.use_mmap ? "_mmap" : "_buffered")
+      << (c.tight_budget ? "_tight_" : "_roomy_") << solver
+      << (c.schedule == AlsSchedule::static_rows ? "_static" : "");
+}
 
 class OocBitIdentity : public ::testing::TestWithParam<OocCase> {};
 
@@ -319,6 +337,7 @@ TEST_P(OocBitIdentity, MatchesInCoreAlsEngine) {
 
   AlsOptions options = tiny_options(c.solver);
   options.workers = c.workers;
+  options.schedule = c.schedule;
   AlsEngine reference(in_core_train(all, build), options);
 
   std::uint64_t largest = 0;
@@ -359,7 +378,9 @@ INSTANTIATE_TEST_SUITE_P(
         OocCase{4, false, true, true, SolverKind::CgFp32},
         OocCase{2, true, false, true, SolverKind::CgFp32},
         OocCase{2, true, true, false, SolverKind::CgFp16},
-        OocCase{3, false, false, false, SolverKind::CholeskyFp32}));
+        OocCase{3, false, false, false, SolverKind::CholeskyFp32},
+        OocCase{3, true, true, true, SolverKind::CgFp32,
+                AlsSchedule::static_rows}));
 
 TEST(OocEngine, RestoreContinuesBitIdentically) {
   const std::string dir = temp_dir("ooc_restore");

@@ -91,7 +91,6 @@
 #include <limits>
 #include <optional>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "analysis/cuverify/fp16range.hpp"
@@ -194,23 +193,17 @@ SolverKind parse_solver(const std::string& name) {
 }
 
 /// Everything the explicit training loop needs besides the engine and the
-/// data. One struct so the loop can be a template over the engine type.
+/// data. The engine's options() carry f, the solver, tile/BIN, schedule,
+/// workers and seed.
 struct ExplicitConfig {
   std::string ratings_path;
   std::string metrics_path;
   std::string checkpoint_dir;
-  int f = 32;
+  /// -l as given: the telemetry header prints it at double precision (the
+  /// engine holds the float the solver uses).
   double lambda = 0.05;
   int epochs = 10;
-  SolverKind solver = SolverKind::CgFp16;
-  std::uint32_t fs = 6;
-  int tile = 10;  ///< hermitian register tile (snapped via pick_tile)
-  int bin = 32;   ///< hermitian BIN batching factor
-  AlsSchedule schedule = AlsSchedule::nnz_guided;
-  int workers = 1;
-  int gpus = 0;  ///< 0 = single-engine path (no --gpus given)
   std::string link_name = "nvlink";
-  std::uint64_t seed = 1;
   int checkpoint_every = 1;
   bool resume = false;
   /// Static FP16 range verdict for this dataset (cuverify); recorded in the
@@ -225,15 +218,37 @@ struct ExplicitConfig {
   std::uint64_t train_nnz = 0;
   /// Out-of-core streaming (--shards): shard directory + budgets.
   std::string shard_dir;
-  std::uint64_t host_mem = 0;
-  std::uint64_t device_mem = 0;
-  bool ooc_overlap = true;
+  OocOptions ooc;
   /// --prof-summary wants the roofline verdicts even without --metrics.
   bool prof_summary = false;
   /// JSON payload of the applied --auto-tune config, embedded verbatim in
   /// the --metrics header so a run records what tuned it. Empty = untuned.
   std::string tuned_json;
 };
+
+/// The modeled timeline of a multi-GPU or streamed engine. The kernels,
+/// and therefore the model, are epoch-invariant, so it is evaluated once
+/// where the engine is built and surfaces the same numbers in every epoch
+/// record.
+struct EngineModel {
+  std::string device;  ///< the device the timeline is modeled on
+  MultiGpuScaling scaling;  ///< set when engine.gpus() > 0
+  /// Per-device modeled compute (update-X + update-Θ shards summed): the
+  /// raggedness here is the nnz balance the sharding achieved.
+  std::vector<double> device_compute_s;
+  OocTimeline ooc;  ///< set when engine.streamed_meta() != nullptr
+};
+
+/// The modeled kernel of a training run.
+AlsKernelConfig kernel_config(const AlsOptions& options) {
+  AlsKernelConfig kc;
+  kc.f = static_cast<int>(options.f);
+  kc.tile = options.hermitian.tile;
+  kc.bin = options.hermitian.bin;
+  kc.solver = options.solver.kind;
+  kc.cg_fs = options.solver.cg_fs;
+  return kc;
+}
 
 /// What run_explicit leaves behind for cmd_train's --prof-summary output:
 /// the last epoch's cuscope roofline verdicts plus the engine-level phase
@@ -250,19 +265,21 @@ struct RunSummary {
   std::vector<EnginePhase> engine_phases;
 };
 
-/// The explicit-ALS epoch loop, templated over the engine so AlsEngine and
-/// MultiGpuAls share one implementation of resume, telemetry, checkpointing
-/// and fault-crash handling. Both engines expose the same surface
-/// (run_epoch / restore / solve_stats / factors / per-epoch ops), and their
-/// results are bit-identical, so everything but the multi-GPU timeline
-/// model is engine-agnostic.
-template <class Engine>
-int run_explicit(Engine& engine, const ExplicitConfig& cfg,
-                 const RatingsCoo& ratings, const TrainTestSplit& split,
-                 Rng& rng, FactorModel& model, SolveStats& final_stats,
-                 RunSummary& summary) {
-  constexpr bool kMultiGpu = std::is_same_v<Engine, MultiGpuAls>;
-  constexpr bool kOoc = std::is_same_v<Engine, OocAlsEngine>;
+/// The explicit-ALS epoch loop: resume, telemetry, checkpointing and
+/// fault-crash handling for every row source and partition of the one
+/// engine. Results are bit-identical across them, so only the records of
+/// the device-shard partition (engine.gpus() > 0) and of the streamed row
+/// source (engine.streamed_meta()) differ, and those read the engine's
+/// reports and `modeled`.
+int run_explicit(AlsEngine& engine, const EngineModel& modeled,
+                 const ExplicitConfig& cfg, const RatingsCoo& ratings,
+                 const TrainTestSplit& split, Rng& rng, FactorModel& model,
+                 SolveStats& final_stats, RunSummary& summary) {
+  const AlsOptions& options = engine.options();
+  const bool multi_gpu = engine.gpus() > 0;
+  const ShardMeta* const streamed = engine.streamed_meta();
+  const MultiGpuScaling& scaling = modeled.scaling;
+  const OocTimeline& ooc_timeline = modeled.ooc;
   Stopwatch sw;
 
   // Resume: load and validate the newest checkpoint before training (and
@@ -283,16 +300,16 @@ int run_explicit(Engine& engine, const ExplicitConfig& cfg,
       try {
         TrainCheckpoint ckpt = read_checkpoint_file(*latest);
         std::string why;
-        if (ckpt.f != static_cast<std::uint64_t>(cfg.f)) {
+        if (ckpt.f != options.f) {
           why = "latent dimension differs";
         } else if (ckpt.solver_kind !=
-                   static_cast<std::uint32_t>(cfg.solver)) {
+                   static_cast<std::uint32_t>(options.solver.kind)) {
           why = "solver differs";
-        } else if (ckpt.cg_fs != cfg.fs) {
+        } else if (ckpt.cg_fs != options.solver.cg_fs) {
           why = "CG truncation differs";
-        } else if (ckpt.lambda != static_cast<float>(cfg.lambda)) {
+        } else if (ckpt.lambda != options.lambda) {
           why = "lambda differs";
-        } else if (ckpt.seed != cfg.seed) {
+        } else if (ckpt.seed != options.seed) {
           why = "seed differs";
         } else if (ckpt.rows != ratings.rows() ||
                    ckpt.cols != ratings.cols() ||
@@ -318,54 +335,6 @@ int run_explicit(Engine& engine, const ExplicitConfig& cfg,
     std::filesystem::create_directories(cfg.checkpoint_dir);
   }
 
-  // Modeled multi-device timeline: cost-model compute per shard plus the
-  // ring all-gather over the chosen link, with pipelined overlap. The
-  // kernels (and therefore the model) are epoch-invariant, so evaluate
-  // once and surface the same numbers in every epoch record.
-  MultiGpuScaling scaling;
-  [[maybe_unused]] MultiGpuTimeline mgpu_timeline;
-  const auto mgpu_dev = gpusim::DeviceSpec::pascal_p100();
-  if constexpr (kMultiGpu) {
-    const gpusim::LinkSpec link = gpusim::link_by_name(cfg.link_name);
-    AlsKernelConfig kc;
-    kc.f = cfg.f;
-    kc.tile = pick_tile(static_cast<std::size_t>(cfg.f), cfg.tile);
-    kc.bin = cfg.bin;
-    kc.solver = cfg.solver;
-    kc.cg_fs = cfg.fs;
-    scaling = engine.scaling_report(mgpu_dev, kc, link);
-    mgpu_timeline = engine.epoch_timeline(mgpu_dev, kc, link);
-    std::printf(
-        "multi-GPU model (%d x %s on %s): epoch %.3f s vs %.3f s on one "
-        "device — speedup %.2fx, efficiency %.0f%%, comm %.1f%%\n",
-        engine.gpus(), link.name.c_str(), mgpu_dev.name.c_str(),
-        scaling.total_s, scaling.single_gpu_s, scaling.speedup,
-        scaling.efficiency * 100.0, scaling.comm_fraction * 100.0);
-  }
-
-  // Modeled streamed-epoch timeline: per-tile transfers over the chosen
-  // link pipelined against per-tile compute. Like the multi-GPU model this
-  // is epoch-invariant, so evaluate once.
-  [[maybe_unused]] OocTimeline ooc_timeline;
-  if constexpr (kOoc) {
-    const gpusim::LinkSpec link = gpusim::link_by_name(cfg.link_name);
-    AlsKernelConfig kc;
-    kc.f = cfg.f;
-    kc.tile = pick_tile(static_cast<std::size_t>(cfg.f), cfg.tile);
-    kc.bin = cfg.bin;
-    kc.solver = cfg.solver;
-    kc.cg_fs = cfg.fs;
-    ooc_timeline = engine.epoch_timeline(mgpu_dev, kc, link,
-                                         engine.overlap_active());
-    std::printf(
-        "out-of-core model (%zu+%zu tiles over %s on %s): epoch %.3f s "
-        "(serial %.3f s, overlap gain %.2fx)%s\n",
-        engine.meta().row_tiles.size(), engine.meta().col_tiles.size(),
-        link.name.c_str(), mgpu_dev.name.c_str(), ooc_timeline.pipelined_s,
-        ooc_timeline.serial_s, ooc_timeline.overlap_gain,
-        engine.overlap_active() ? "" : " [overlap disabled]");
-  }
-
   prof::TelemetryWriter telemetry;
   gpusim::TraceStats cache_sim;
   const bool have_test = split.test.nnz() > 0;
@@ -373,12 +342,7 @@ int run_explicit(Engine& engine, const ExplicitConfig& cfg,
   // (cache sim, header) and the cuscope roofline verdicts, which
   // --prof-summary wants even without --metrics.
   const auto dev = gpusim::DeviceSpec::maxwell_titan_x();
-  AlsKernelConfig kc;
-  kc.f = cfg.f;
-  kc.tile = pick_tile(static_cast<std::size_t>(cfg.f), cfg.tile);
-  kc.bin = cfg.bin;
-  kc.solver = cfg.solver;
-  kc.cg_fs = cfg.fs;
+  const AlsKernelConfig kc = kernel_config(options);
   const UpdateShape shape{static_cast<double>(ratings.rows()),
                           static_cast<double>(ratings.cols()),
                           static_cast<double>(cfg.train_nnz)};
@@ -395,14 +359,14 @@ int run_explicit(Engine& engine, const ExplicitConfig& cfg,
     header.set("cols", static_cast<std::uint64_t>(ratings.cols()));
     header.set("train_nnz", cfg.train_nnz);
     header.set("test_nnz", static_cast<std::uint64_t>(split.test.nnz()));
-    header.set("f", cfg.f).set("lambda", cfg.lambda);
-    header.set("solver", to_string(cfg.solver));
+    header.set("f", kc.f).set("lambda", cfg.lambda);
+    header.set("solver", to_string(kc.solver));
     header.set("predicted_fp16_safe", cfg.predicted_fp16_safe);
-    header.set("fs", static_cast<std::uint64_t>(cfg.fs));
+    header.set("fs", static_cast<std::uint64_t>(kc.cg_fs));
     header.set("tile", kc.tile).set("bin", kc.bin);
-    header.set("schedule", to_string(cfg.schedule));
-    header.set("workers", cfg.workers).set("epochs", cfg.epochs);
-    header.set("seed", cfg.seed);
+    header.set("schedule", to_string(options.schedule));
+    header.set("workers", options.workers).set("epochs", cfg.epochs);
+    header.set("seed", options.seed);
     if (!cfg.tuned_json.empty()) {
       header.set_raw("auto_tune", cfg.tuned_json);
     }
@@ -419,42 +383,36 @@ int run_explicit(Engine& engine, const ExplicitConfig& cfg,
     header.set_raw("roof", roof.str());
     // Analytic Table-I complexities at this run's shape: the reference
     // line next to the measured per-epoch intensities.
-    const bool cg_like = cfg.solver == SolverKind::CgFp32 ||
-                         cfg.solver == SolverKind::CgFp16 ||
-                         cfg.solver == SolverKind::PcgFp32;
+    const bool cg_like = kc.solver == SolverKind::CgFp32 ||
+                         kc.solver == SolverKind::CgFp16 ||
+                         kc.solver == SolverKind::PcgFp32;
     const AlsComplexity cx =
         cg_like ? als_complexity_cg(shape.nnz, shape.rows, shape.cols,
-                                    cfg.f, static_cast<int>(cfg.fs))
-                : als_complexity(shape.nnz, shape.rows, shape.cols, cfg.f);
+                                    kc.f, static_cast<int>(kc.cg_fs))
+                : als_complexity(shape.nnz, shape.rows, shape.cols, kc.f);
     prof::JsonObject mdl;
     mdl.set("hermitian_flops", cx.hermitian_compute);
     mdl.set("hermitian_bytes", cx.hermitian_memory);
     mdl.set("solve_flops", cx.solve_compute);
     mdl.set("solve_bytes", cx.solve_memory);
     header.set_raw("model", mdl.str());
-    if constexpr (kMultiGpu) {
+    if (multi_gpu) {
       header.set("gpus", engine.gpus());
       header.set("link", cfg.link_name);
-      header.set("mgpu_sim_device", mgpu_dev.name);
-      // Per-device modeled compute (update-X + update-Θ shards summed):
-      // the raggedness here is the nnz balance the sharding achieved.
-      std::vector<double> per_device(mgpu_timeline.update_x.device_compute_s);
-      for (std::size_t d = 0; d < per_device.size(); ++d) {
-        per_device[d] += mgpu_timeline.update_theta.device_compute_s[d];
-      }
-      header.set_array("mgpu_device_compute_s", per_device);
+      header.set("mgpu_sim_device", modeled.device);
+      header.set_array("mgpu_device_compute_s", modeled.device_compute_s);
     }
-    if constexpr (kOoc) {
+    if (streamed != nullptr) {
       header.set("mode", "ooc");
       header.set("shards", cfg.shard_dir);
       header.set("link", cfg.link_name);
-      header.set("host_mem_bytes", cfg.host_mem);
-      header.set("device_mem_bytes", cfg.device_mem);
+      header.set("host_mem_bytes", cfg.ooc.host_mem_bytes);
+      header.set("device_mem_bytes", cfg.ooc.device_mem_bytes);
       header.set("overlap", engine.overlap_active());
       header.set("row_tiles",
-                 static_cast<std::uint64_t>(engine.meta().row_tiles.size()));
+                 static_cast<std::uint64_t>(streamed->row_tiles.size()));
       header.set("col_tiles",
-                 static_cast<std::uint64_t>(engine.meta().col_tiles.size()));
+                 static_cast<std::uint64_t>(streamed->col_tiles.size()));
     }
     if (resumed) {
       header.set("resumed_from_epoch",
@@ -568,7 +526,7 @@ int run_explicit(Engine& engine, const ExplicitConfig& cfg,
         pack.t_compute = elems / (dev.peak_flops * dev.compute_efficiency);
         last_verdicts.push_back(prof::classify(pack));
       }
-      if constexpr (kMultiGpu) {
+      if (multi_gpu) {
         prof::PhaseSample mg;
         mg.phase = prof::kPhaseMgpuAllGather;
         mg.wall_s = scaling.total_s;
@@ -576,7 +534,7 @@ int run_explicit(Engine& engine, const ExplicitConfig& cfg,
         mg.t_comm = scaling.comm_s;
         last_verdicts.push_back(prof::classify(mg));
       }
-      if constexpr (kOoc) {
+      if (streamed != nullptr) {
         const OocEpochStats& os = engine.ooc_stats_last_epoch();
         prof::PhaseSample st;
         st.phase = prof::kPhaseOocStream;
@@ -649,7 +607,7 @@ int run_explicit(Engine& engine, const ExplicitConfig& cfg,
       sim.set("dram_bytes", cache_sim.dram_bytes(128));
       rec.set_raw("sim_cache", sim.str());
 
-      if constexpr (kMultiGpu) {
+      if (multi_gpu) {
         prof::JsonObject mg;
         mg.set("gpus", engine.gpus());
         mg.set("link", cfg.link_name);
@@ -663,7 +621,7 @@ int run_explicit(Engine& engine, const ExplicitConfig& cfg,
         rec.set_raw("multi_gpu", mg.str());
       }
 
-      if constexpr (kOoc) {
+      if (streamed != nullptr) {
         // Measured streaming breakdown of this epoch plus the (epoch-
         // invariant) modeled transfer pipeline. stall_s is the exposed
         // wait; load_s is total time inside tile loads, which overlaps
@@ -724,11 +682,11 @@ int run_explicit(Engine& engine, const ExplicitConfig& cfg,
       ckpt.curve = tracker.curve();
       ckpt.x = engine.user_factors();
       ckpt.theta = engine.item_factors();
-      ckpt.seed = cfg.seed;
-      ckpt.f = static_cast<std::uint64_t>(cfg.f);
-      ckpt.solver_kind = static_cast<std::uint32_t>(cfg.solver);
-      ckpt.cg_fs = cfg.fs;
-      ckpt.lambda = static_cast<float>(cfg.lambda);
+      ckpt.seed = options.seed;
+      ckpt.f = options.f;
+      ckpt.solver_kind = static_cast<std::uint32_t>(options.solver.kind);
+      ckpt.cg_fs = options.solver.cg_fs;
+      ckpt.lambda = options.lambda;
       ckpt.rows = ratings.rows();
       ckpt.cols = ratings.cols();
       ckpt.train_nnz = cfg.train_nnz;
@@ -751,8 +709,9 @@ int run_explicit(Engine& engine, const ExplicitConfig& cfg,
     }
   }
 
-  std::printf("trained %d epochs (f=%d, %s) in %.2f s\n", cfg.epochs, cfg.f,
-              to_string(cfg.solver), time_offset + sw.seconds());
+  std::printf("trained %d epochs (f=%zu, %s) in %.2f s\n", cfg.epochs,
+              options.f, to_string(options.solver.kind),
+              time_offset + sw.seconds());
   if (have_test) {
     std::printf("test RMSE: %.4f\n", final_rmse);
     std::printf("%s", tracker.to_csv().c_str());
@@ -763,27 +722,23 @@ int run_explicit(Engine& engine, const ExplicitConfig& cfg,
   }
   summary.roof_device = dev.name;
   summary.verdicts = std::move(last_verdicts);
-  if constexpr (kOoc) {
-    const OocEpochStats& os = engine.ooc_stats_last_epoch();
-    const double wall = os.stall_s + os.compute_s;
-    const auto pct = [wall](double s) {
-      return wall > 0 ? s / wall * 100.0 : 0.0;
-    };
+  // Engine-level phases: measured streaming seconds, or the modeled
+  // multi-device compute/comm split (the CLI never builds both).
+  const OocEpochStats& os = engine.ooc_stats_last_epoch();
+  const double wall =
+      multi_gpu ? scaling.total_s : os.stall_s + os.compute_s;
+  const auto add_phase = [&](const char* name, double seconds) {
     summary.engine_phases.push_back(
-        {"ooc_stall", os.stall_s, pct(os.stall_s)});
-    summary.engine_phases.push_back({"ooc_load", os.load_s, pct(os.load_s)});
-    summary.engine_phases.push_back(
-        {"ooc_compute", os.compute_s, pct(os.compute_s)});
+        {name, seconds, wall > 0 ? seconds / wall * 100.0 : 0.0});
+  };
+  if (streamed != nullptr) {
+    add_phase("ooc_stall", os.stall_s);
+    add_phase("ooc_load", os.load_s);
+    add_phase("ooc_compute", os.compute_s);
   }
-  if constexpr (kMultiGpu) {
-    const double wall = scaling.total_s;
-    const auto pct = [wall](double s) {
-      return wall > 0 ? s / wall * 100.0 : 0.0;
-    };
-    summary.engine_phases.push_back(
-        {"mgpu_compute", scaling.compute_s, pct(scaling.compute_s)});
-    summary.engine_phases.push_back(
-        {"mgpu_comm", scaling.comm_s, pct(scaling.comm_s)});
+  if (multi_gpu) {
+    add_phase("mgpu_compute", scaling.compute_s);
+    add_phase("mgpu_comm", scaling.comm_s);
   }
   final_stats = engine.solve_stats();
   model = FactorModel{engine.user_factors(), engine.item_factors()};
@@ -1147,6 +1102,20 @@ int cmd_train(int argc, char** argv) {
     return 2;
   }
 
+  // The explicit engine's options, final now that flags and --auto-tune
+  // are resolved: the static pregate below verifies this exact kernel.
+  AlsOptions options;
+  options.f = static_cast<std::size_t>(f);
+  options.lambda = static_cast<real_t>(lambda);
+  options.solver.kind = solver;
+  options.solver.cg_fs = fs;
+  options.solver.path = kernel_path;
+  options.hermitian.tile = pick_tile(static_cast<std::size_t>(f), tile);
+  options.hermitian.bin = bin;
+  options.schedule = schedule;
+  options.workers = workers;
+  options.seed = seed;
+
   Rng rng(seed);
   TrainTestSplit split;
   if (ooc) {
@@ -1214,8 +1183,6 @@ int cmd_train(int argc, char** argv) {
       const std::uint64_t launches_before = cusim::launch_count();
       std::printf("cuverify: static access-plan analysis (no execution)\n");
       std::vector<analysis::Finding> findings;
-      const int tile =
-          pick_tile(static_cast<std::size_t>(f), AlsKernelConfig{}.tile);
 
       const auto verify_side = [&](const CsrMatrix& side, const char* name) {
         if (side.rows() == 0) {
@@ -1231,11 +1198,12 @@ int cmd_train(int argc, char** argv) {
         params.rows = side.rows();
         params.theta_rows = side.cols();
         params.f = static_cast<std::size_t>(f);
-        params.tile = tile;
-        params.bin = 32;
+        params.tile = options.hermitian.tile;
+        params.bin = options.hermitian.bin;
         const auto row = side.row_cols(densest);
         params.cols.assign(row.begin(), row.end());
-        params.regs_per_thread = gpusim::hermitian_regs_per_thread(f, tile);
+        params.regs_per_thread =
+            gpusim::hermitian_regs_per_thread(f, params.tile);
         auto plan = cusim::hermitian_kernel_plan(params);
         plan.kernel += std::string("[") + name + "]";
         const auto report = cuv::verify(plan);
@@ -1298,73 +1266,82 @@ int cmd_train(int argc, char** argv) {
                 to_string(solver), sw.seconds());
     model = FactorModel{fitted.user_factors(), fitted.item_factors()};
   } else {
-    // Explicit path: drive AlsEngine (or, with --gpus, its multi-device
-    // counterpart) through the shared run_explicit loop so every epoch
-    // yields a test RMSE point and, with --metrics, one telemetry record.
-    // The two engines produce bit-identical factors.
-    AlsOptions options;
-    options.f = static_cast<std::size_t>(f);
-    options.lambda = static_cast<real_t>(lambda);
-    options.solver.kind = solver;
-    options.solver.cg_fs = fs;
-    options.solver.path = kernel_path;
-    options.hermitian.tile = pick_tile(static_cast<std::size_t>(f), tile);
-    options.hermitian.bin = bin;
-    options.schedule = schedule;
-    options.workers = workers;
-    options.seed = seed;
-
+    // Explicit path: every row source and partition is the one AlsEngine
+    // driven through run_explicit, so every epoch yields a test RMSE point
+    // and, with --metrics, one telemetry record; all of them produce
+    // bit-identical factors. The device-shard (--gpus) and streamed
+    // (--shards) engines model their device timeline here, once.
     ExplicitConfig cfg;
     cfg.ratings_path = ratings_path;
     cfg.metrics_path = metrics_path;
     cfg.checkpoint_dir = checkpoint_dir;
-    cfg.f = f;
     cfg.lambda = lambda;
     cfg.epochs = epochs;
-    cfg.solver = solver;
-    cfg.fs = fs;
-    cfg.tile = tile;
-    cfg.bin = bin;
-    cfg.schedule = schedule;
-    cfg.workers = workers;
-    cfg.gpus = gpus;
     cfg.link_name = link_name;
-    cfg.seed = seed;
     cfg.checkpoint_every = checkpoint_every;
     cfg.resume = resume;
     cfg.predicted_fp16_safe = predicted_fp16_safe;
     cfg.train_nnz = ooc ? shard_meta->train_nnz
                         : static_cast<std::uint64_t>(split.train.nnz());
     cfg.shard_dir = shard_dir;
-    cfg.host_mem = host_mem;
-    cfg.device_mem = device_mem;
-    cfg.ooc_overlap = ooc_overlap;
+    cfg.ooc.host_mem_bytes = host_mem;
+    cfg.ooc.device_mem_bytes = device_mem;
+    cfg.ooc.overlap = ooc_overlap;
     cfg.prof_summary = prof_summary;
     if (tuned) {
       cfg.tuned_json = tune::tuned_config_payload(*tuned);
     }
 
+    const auto model_dev = gpusim::DeviceSpec::pascal_p100();
+    const gpusim::LinkSpec link = gpusim::link_by_name(link_name);
+    const AlsKernelConfig kc = kernel_config(options);
+    EngineModel modeled;
+    modeled.device = model_dev.name;
     int rc = 0;
     if (ooc) {
-      OocOptions ooc_options;
-      ooc_options.host_mem_bytes = host_mem;
-      ooc_options.device_mem_bytes = device_mem;
-      ooc_options.overlap = ooc_overlap;
-      OocAlsEngine engine(shard_dir, options, ooc_options);
+      OocAlsEngine engine(shard_dir, options, cfg.ooc);
       if (ooc_overlap && !engine.overlap_active()) {
         std::fprintf(stderr,
                      "cumf_train: note: budgets too small to double-buffer "
                      "tiles; prefetch disabled (synchronous loads)\n");
       }
-      rc = run_explicit(engine, cfg, ratings, split, rng, model,
+      // Per-tile transfers over the chosen link pipelined against per-tile
+      // compute.
+      modeled.ooc = engine.epoch_timeline(model_dev, kc, link,
+                                          engine.overlap_active());
+      std::printf(
+          "out-of-core model (%zu+%zu tiles over %s on %s): epoch %.3f s "
+          "(serial %.3f s, overlap gain %.2fx)%s\n",
+          engine.meta().row_tiles.size(), engine.meta().col_tiles.size(),
+          link.name.c_str(), model_dev.name.c_str(), modeled.ooc.pipelined_s,
+          modeled.ooc.serial_s, modeled.ooc.overlap_gain,
+          engine.overlap_active() ? "" : " [overlap disabled]");
+      rc = run_explicit(engine, modeled, cfg, ratings, split, rng, model,
                         final_stats, summary);
     } else if (gpus >= 1) {
       MultiGpuAls engine(split.train, options, gpus);
-      rc = run_explicit(engine, cfg, ratings, split, rng, model,
+      // Cost-model compute per shard plus the ring all-gather over the
+      // chosen link, with pipelined overlap.
+      modeled.scaling = engine.scaling_report(model_dev, kc, link);
+      const MultiGpuTimeline timeline =
+          engine.epoch_timeline(model_dev, kc, link);
+      modeled.device_compute_s = timeline.update_x.device_compute_s;
+      for (std::size_t d = 0; d < modeled.device_compute_s.size(); ++d) {
+        modeled.device_compute_s[d] +=
+            timeline.update_theta.device_compute_s[d];
+      }
+      const MultiGpuScaling& sc = modeled.scaling;
+      std::printf(
+          "multi-GPU model (%d x %s on %s): epoch %.3f s vs %.3f s on one "
+          "device — speedup %.2fx, efficiency %.0f%%, comm %.1f%%\n",
+          engine.gpus(), link.name.c_str(), model_dev.name.c_str(),
+          sc.total_s, sc.single_gpu_s, sc.speedup, sc.efficiency * 100.0,
+          sc.comm_fraction * 100.0);
+      rc = run_explicit(engine, modeled, cfg, ratings, split, rng, model,
                         final_stats, summary);
     } else {
       AlsEngine engine(split.train, options);
-      rc = run_explicit(engine, cfg, ratings, split, rng, model,
+      rc = run_explicit(engine, modeled, cfg, ratings, split, rng, model,
                         final_stats, summary);
     }
     if (rc != 0) {
