@@ -1,10 +1,11 @@
 // bench_hotpath — the SIMD / scheduling regression harness.
 //
-// Measures the three vectorized hot paths (dense primitives, get_hermitian,
-// CG solve) with the scalar and SIMD KernelPath side by side, each against
-// the measured one-core roof of this host, plus the static vs nnz-guided
-// epoch schedule on a power-law dataset, and writes a machine-readable
-// BENCH_hotpath.json for tools/bench_compare.py and the CI perf-smoke gate.
+// Measures the vectorized hot paths (dense primitives, get_hermitian, CG
+// solve, exact Cholesky/LU solve) with the scalar and SIMD KernelPath side
+// by side, each against the measured one-core roof of this host, plus the
+// static vs nnz-guided epoch schedule on a power-law dataset, and writes a
+// machine-readable BENCH_hotpath.json for tools/bench_compare.py and the CI
+// perf-smoke gate.
 // See docs/performance.md for how to read the numbers.
 //
 // Usage: bench_hotpath [--quick] [--out PATH]
@@ -272,6 +273,9 @@ int main(int argc, char** argv) {
 
   // --- get_hermitian_row, f=100 tile=10 (the paper's kernel shape) ------
   std::printf("\n");
+  // One of its systems, kept for the exact-solver rows below.
+  std::vector<real_t> exact_a(f * f);
+  std::vector<real_t> exact_b(f);
   {
     SyntheticConfig cfg;
     cfg.m = 400;
@@ -311,6 +315,9 @@ int main(int argc, char** argv) {
       speedups[fp16 ? "hermitian_f100_fp16stage" : "hermitian_f100"] =
           rows.back().speedup;
     }
+    params.fp16_staging = false;
+    get_hermitian_row(csr, theta, 0, real_t{0.05}, params, ws, exact_a,
+                      exact_b, simd::kDefaultPath);
   }
 
   // --- CG solve, f=100, fs = 3..6, eps=0 so every iteration runs --------
@@ -363,6 +370,34 @@ int main(int argc, char** argv) {
   speedups["fp16_over_fp32_walltime"] = fp16_over_fp32;
   std::printf("\n  cg fp16/fp32 wall-time ratio (fs=6, simd): %.2fx\n",
               fp16_over_fp32);
+
+  // --- exact solves, f=100, on the get_hermitian-built SPD system -------
+  // What production runs for an exact kind: SystemSolver::solve copying A,
+  // factoring, substituting and checking x is finite. Flops are the
+  // factor's f³/3 (Cholesky) or 2f³/3 (LU) plus 2f² for the substitutions.
+  // Both paths work in double, so their share of the float roof tops out
+  // at one half.
+  std::printf("\n");
+  for (const SolverKind kind : {SolverKind::CholeskyFp32, SolverKind::LuFp32}) {
+    const bool cholesky = kind == SolverKind::CholeskyFp32;
+    SolverOptions exact;
+    exact.kind = kind;
+    exact.path = simd::KernelPath::scalar;
+    SystemSolver exact_scalar(f, exact);
+    exact.path = simd::KernelPath::simd;
+    SystemSolver exact_simd(f, exact);
+    const double fd = static_cast<double>(f);
+    const char* name = cholesky ? "cholesky_f100" : "lu_f100";
+    rows.push_back(bench_pair(
+        name, (cholesky ? 1.0 : 2.0) * fd * fd * fd / 3.0 + 2.0 * fd * fd,
+        fd * fd * sizeof(real_t), min_seconds, 20, roof,
+        [&](simd::KernelPath p) {
+          SystemSolver& solver =
+              p == simd::KernelPath::scalar ? exact_scalar : exact_simd;
+          g_sink = solver.solve(exact_a, exact_b, x) ? x[0] : -1.0;
+        }));
+    speedups[name] = rows.back().speedup;
+  }
 
   // --- schedule: static rows vs nnz-guided on a power-law epoch --------
   std::printf("\n");

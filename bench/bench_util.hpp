@@ -8,8 +8,10 @@
 // substitution it makes.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <string>
 
@@ -25,21 +27,31 @@
 
 namespace cumf::bench {
 
-/// Repeats `fn` until `min_seconds` of wall time accumulates (at least
-/// `min_reps` calls per check) and returns the average ns per call. The
-/// one timing loop every bench shares — keep micro-benchmarks comparable.
+/// Timed blocks per time_ns measurement.
+inline constexpr int kTimingBlocks = 5;
+
+/// Times `fn` in kTimingBlocks blocks that together take about
+/// `min_seconds` of wall time, each repeating `fn` until its share has
+/// passed (at least `min_reps` calls per check), and returns the fastest
+/// block's mean ns per call. Host noise only ever adds time, so a block it
+/// hit reads slow and drops out. The one timing loop every bench shares —
+/// keep micro-benchmarks comparable.
 inline double time_ns(const std::function<void()>& fn, double min_seconds,
                       int min_reps) {
   fn();  // warm-up, touches caches and faults pages
-  std::size_t reps = 0;
-  Stopwatch sw;
-  do {
-    for (int i = 0; i < min_reps; ++i) {
-      fn();
-    }
-    reps += static_cast<std::size_t>(min_reps);
-  } while (sw.seconds() < min_seconds);
-  return sw.seconds() * 1e9 / static_cast<double>(reps);
+  double best = std::numeric_limits<double>::infinity();
+  for (int block = 0; block < kTimingBlocks; ++block) {
+    std::size_t reps = 0;
+    Stopwatch sw;
+    do {
+      for (int i = 0; i < min_reps; ++i) {
+        fn();
+      }
+      reps += static_cast<std::size_t>(min_reps);
+    } while (sw.seconds() < min_seconds / kTimingBlocks);
+    best = std::min(best, sw.seconds() * 1e9 / static_cast<double>(reps));
+  }
+  return best;
 }
 
 /// Folds a result into a volatile sink so the optimizer cannot delete a

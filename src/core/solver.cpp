@@ -83,6 +83,10 @@ SystemSolver::SystemSolver(std::size_t f, const SolverOptions& options)
   scratch_fp32_.resize(f_ * f_);
   pivots_.resize(f_);
   backup_.resize(f_);
+  if (options_.kind == SolverKind::CholeskyFp32 &&
+      options_.path == simd::KernelPath::simd) {
+    cholesky_ws_.resize(cholesky_workspace_size(f_));
+  }
 }
 
 bool SystemSolver::solve_exact(std::span<const real_t> a,
@@ -91,12 +95,12 @@ bool SystemSolver::solve_exact(std::span<const real_t> a,
   std::copy(a.begin(), a.end(), scratch_fp32_.begin());
   bool ok;
   if (via_cholesky) {
-    ok = cholesky_factor(f_, scratch_fp32_);
+    ok = cholesky_factor(f_, scratch_fp32_, options_.path, cholesky_ws_);
     if (ok) {
-      cholesky_solve(f_, scratch_fp32_, b, x);
+      cholesky_solve(f_, scratch_fp32_, b, x, options_.path, cholesky_ws_);
     }
   } else {
-    ok = lu_factor(f_, scratch_fp32_, pivots_);
+    ok = lu_factor(f_, scratch_fp32_, pivots_, options_.path);
     if (ok) {
       lu_solve(f_, scratch_fp32_, pivots_, b, x);
     }

@@ -47,8 +47,11 @@ struct SolverOptions {
   SolverKind kind = SolverKind::CgFp32;
   std::uint32_t cg_fs = 6;    ///< max CG iterations (paper: 6 for f=100)
   real_t cg_eps = 1e-4f;      ///< ε tolerance on √(rᵀr)
-  /// Kernel path for the CG inner loops and the FP16 A conversion; the
-  /// scalar/SIMD variants are differentially tested (see docs/performance.md).
+  /// Kernel path for every solve: the CG inner loops, the FP16 A
+  /// conversion, and the exact Cholesky and LU factors and substitutions
+  /// (LU also as the CG breakdown fallback). The scalar/SIMD variants are
+  /// differentially tested — bitwise for everything but CG's reductions
+  /// (see docs/performance.md).
   simd::KernelPath path = simd::kDefaultPath;
 };
 
@@ -113,7 +116,9 @@ struct SolveStats {
   }
 };
 
-/// Per-call scratch so the hot loop never allocates.
+/// Per-call scratch so the hot loop never allocates. The exact kinds read
+/// only the lower triangle of A for Cholesky and all of it for LU; the
+/// SIMD Cholesky path keeps Lᵀ in a workspace sized once at construction.
 class SystemSolver {
  public:
   explicit SystemSolver(std::size_t f, const SolverOptions& options);
@@ -159,6 +164,9 @@ class SystemSolver {
   /// LU/Cholesky factor scratch; for CgFp16 also A rounded through half.
   std::vector<real_t> scratch_fp32_;
   std::vector<index_t> pivots_;
+  /// Lᵀ of the SIMD Cholesky path (cholesky_workspace_size(f) doubles);
+  /// empty for every other kind and path.
+  std::vector<double> cholesky_ws_;
   std::vector<real_t> backup_;  ///< x on entry, for failure restoration
 };
 

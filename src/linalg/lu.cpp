@@ -7,8 +7,28 @@
 
 namespace cumf {
 
+namespace {
+
+/// SIMD body of the row update a_ij ← float(a_ij − l_ik·u_kj) over j in
+/// [j, n), 8 lanes per step; returns where the whole steps end, for the
+/// scalar loop to finish. Each lane is the scalar expression widened to
+/// double, so it contracts to one FMA exactly where the scalar one does.
+std::size_t update_row_simd(real_t* arow, const real_t* urow, double lik,
+                            std::size_t j, std::size_t n) {
+  constexpr std::size_t kLanes = simd::vd8::kLanes;
+  const simd::vd8 l = simd::vd8::broadcast(lik);
+  for (; j + kLanes <= n; j += kLanes) {
+    const simd::vd8 aij = simd::vd8::widen(simd::vf8::load(arow + j));
+    const simd::vd8 ukj = simd::vd8::widen(simd::vf8::load(urow + j));
+    (aij - l * ukj).narrow().store(arow + j);
+  }
+  return j;
+}
+
+}  // namespace
+
 bool lu_factor(std::size_t n, std::span<real_t> a,
-               std::span<index_t> pivots) {
+               std::span<index_t> pivots, simd::KernelPath path) {
   CUMF_EXPECTS(a.size() == n * n, "lu: A must be n*n");
   CUMF_EXPECTS(pivots.size() == n, "lu: pivot array must have n entries");
   for (std::size_t k = 0; k < n; ++k) {
@@ -35,7 +55,11 @@ bool lu_factor(std::size_t n, std::span<real_t> a,
     for (std::size_t i = k + 1; i < n; ++i) {
       const double lik = static_cast<double>(a[i * n + k]) / akk;
       a[i * n + k] = static_cast<real_t>(lik);
-      for (std::size_t j = k + 1; j < n; ++j) {
+      std::size_t j = k + 1;
+      if (path == simd::KernelPath::simd) {
+        j = update_row_simd(a.data() + i * n, a.data() + k * n, lik, j, n);
+      }
+      for (; j < n; ++j) {
         a[i * n + j] = static_cast<real_t>(
             static_cast<double>(a[i * n + j]) -
             lik * static_cast<double>(a[k * n + j]));
@@ -77,17 +101,6 @@ void lu_solve(std::size_t n, std::span<const real_t> lu,
     }
     x[ii] = static_cast<real_t>(acc / static_cast<double>(lu[ii * n + ii]));
   }
-}
-
-bool solve_lu(std::size_t n, std::span<const real_t> a,
-              std::span<const real_t> b, std::span<real_t> x) {
-  std::vector<real_t> scratch(a.begin(), a.end());
-  std::vector<index_t> pivots(n);
-  if (!lu_factor(n, scratch, pivots)) {
-    return false;
-  }
-  lu_solve(n, scratch, pivots, b, x);
-  return true;
 }
 
 }  // namespace cumf

@@ -15,7 +15,11 @@
 //  - reductions (hsum after lane-parallel accumulation) reassociate the sum,
 //    so results are ULP-close, not bitwise equal, to a sequential loop.
 //    Products of two floats widened to double are exact (24+24 ≤ 53 bits),
-//    so lane accumulation in vd8 only reorders exactly-representable terms.
+//    so lane accumulation in vd8 only reorders exactly-representable terms;
+//  - vd8 lane arithmetic (− × ÷, narrow) is the scalar double op per lane.
+//    `acc - l * x` contracts to a fused multiply-add exactly where the
+//    scalar expression does (any target with FMA, -ffp-contract=fast), so
+//    a kernel that keeps each element's operation order stays bitwise.
 //
 // Both kernel variants (scalar and SIMD) are always compiled; KernelPath
 // selects per call, and kDefaultPath reflects the configure-time choice.
@@ -27,6 +31,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+
+#if defined(__AVX__)
+#include <immintrin.h>
+#endif
 
 namespace cumf::simd {
 
@@ -145,16 +153,37 @@ struct vf16 {
 /// products of lane l of each 8-float chunk, in chunk order; hsum() then
 /// reduces ((v0+v2)+(v1+v3)) + ((v4+v6)+(v5+v7)). Keep that order: the
 /// dot, gemv and CG results — and every trained factor — depend on it
-/// bit for bit.
+/// bit for bit. The exact solvers use the lanes as 8 independent scalar
+/// accumulators (load, − × ÷, narrow), one matrix element each.
 struct vd8 {
   static constexpr std::size_t kLanes = 8;
   f64x8 v;
 
   static vd8 zero() noexcept { return {f64x8{}}; }
-  /// All 8 lanes widened to double (exact — every float is a double).
-  static vd8 widen(vf8 a) noexcept {
-    return {__builtin_convertvector(a.v, f64x8)};
+  static vd8 broadcast(double x) noexcept {
+    return {f64x8{x, x, x, x, x, x, x, x}};
   }
+  static vd8 load(const double* p) noexcept {
+    vd8 r;
+    std::memcpy(&r.v, p, sizeof(r.v));
+    return r;
+  }
+  void store(double* p) const noexcept { std::memcpy(p, &v, sizeof(v)); }
+  /// All 8 lanes widened to double (exact — every float is a double).
+  /// Spelled as the intrinsic: GCC 12 lowers the generic convertvector to
+  /// two half-width conversions plus an extract and an insert where this
+  /// is one vcvtps2pd. (The all-lanes mask form, because the unmasked one
+  /// trips GCC 12's -Wmaybe-uninitialized.)
+  static vd8 widen(vf8 a) noexcept {
+    return {std::bit_cast<f64x8>(_mm512_mask_cvtps_pd(
+        _mm512_setzero_pd(), 0xFF, std::bit_cast<__m256>(a.v)))};
+  }
+  /// All 8 lanes rounded to float, as static_cast<float> rounds each.
+  vf8 narrow() const noexcept { return {__builtin_convertvector(v, f32x8)}; }
+
+  friend vd8 operator-(vd8 a, vd8 b) noexcept { return {a.v - b.v}; }
+  friend vd8 operator*(vd8 a, vd8 b) noexcept { return {a.v * b.v}; }
+  friend vd8 operator/(vd8 a, vd8 b) noexcept { return {a.v / b.v}; }
   /// acc += widen(a) * widen(b), one exact product per lane.
   void mul_acc(vf8 a, vf8 b) noexcept { v += widen(a).v * widen(b).v; }
   /// Same with a pre-widened left operand — hoists a's conversion out of
@@ -214,11 +243,49 @@ struct vd8 {
   f64x4 hi;
 
   static vd8 zero() noexcept { return {f64x4{}, f64x4{}}; }
+  static vd8 broadcast(double x) noexcept {
+    return {f64x4{x, x, x, x}, f64x4{x, x, x, x}};
+  }
+  static vd8 load(const double* p) noexcept {
+    vd8 r;
+    std::memcpy(&r.lo, p, sizeof(r.lo));
+    std::memcpy(&r.hi, p + 4, sizeof(r.hi));
+    return r;
+  }
+  void store(double* p) const noexcept {
+    std::memcpy(p, &lo, sizeof(lo));
+    std::memcpy(p + 4, &hi, sizeof(hi));
+  }
   static vd8 widen(vf8 a) noexcept {
+#if defined(__AVX__)
+    // Two vcvtps2pd, as in the AVX-512 form: GCC 12 lowers each generic
+    // 4-lane conversion to two 2-lane ones plus shuffles.
+    const auto x = std::bit_cast<__m256>(a.v);
+    return {std::bit_cast<f64x4>(_mm256_cvtps_pd(_mm256_castps256_ps128(x))),
+            std::bit_cast<f64x4>(
+                _mm256_cvtps_pd(_mm256_extractf128_ps(x, 1)))};
+#else
     return {__builtin_convertvector(
                 __builtin_shufflevector(a.v, a.v, 0, 1, 2, 3), f64x4),
             __builtin_convertvector(
                 __builtin_shufflevector(a.v, a.v, 4, 5, 6, 7), f64x4)};
+#endif
+  }
+  vf8 narrow() const noexcept {
+    using f32x4 = float __attribute__((vector_size(16)));
+    const f32x4 l = __builtin_convertvector(lo, f32x4);
+    const f32x4 h = __builtin_convertvector(hi, f32x4);
+    return {__builtin_shufflevector(l, h, 0, 1, 2, 3, 4, 5, 6, 7)};
+  }
+
+  friend vd8 operator-(vd8 a, vd8 b) noexcept {
+    return {a.lo - b.lo, a.hi - b.hi};
+  }
+  friend vd8 operator*(vd8 a, vd8 b) noexcept {
+    return {a.lo * b.lo, a.hi * b.hi};
+  }
+  friend vd8 operator/(vd8 a, vd8 b) noexcept {
+    return {a.lo / b.lo, a.hi / b.hi};
   }
   void mul_acc(vf8 a, vf8 b) noexcept { mul_acc(widen(a), b); }
   void mul_acc(vd8 a_wide, vf8 b) noexcept {
@@ -364,9 +431,41 @@ struct vd8 {
   double v[8];
 
   static vd8 zero() noexcept { return vd8{{0, 0, 0, 0, 0, 0, 0, 0}}; }
+  static vd8 broadcast(double x) noexcept {
+    return vd8{{x, x, x, x, x, x, x, x}};
+  }
+  static vd8 load(const double* p) noexcept {
+    vd8 r;
+    std::memcpy(r.v, p, sizeof(r.v));
+    return r;
+  }
+  void store(double* p) const noexcept { std::memcpy(p, v, sizeof(v)); }
   static vd8 widen(vf8 a) noexcept {
     vd8 r;
     for (std::size_t i = 0; i < kLanes; ++i) r.v[i] = a.v[i];
+    return r;
+  }
+  vf8 narrow() const noexcept {
+    vf8 r;
+    for (std::size_t i = 0; i < kLanes; ++i) {
+      r.v[i] = static_cast<float>(v[i]);
+    }
+    return r;
+  }
+
+  friend vd8 operator-(vd8 a, vd8 b) noexcept {
+    vd8 r;
+    for (std::size_t i = 0; i < kLanes; ++i) r.v[i] = a.v[i] - b.v[i];
+    return r;
+  }
+  friend vd8 operator*(vd8 a, vd8 b) noexcept {
+    vd8 r;
+    for (std::size_t i = 0; i < kLanes; ++i) r.v[i] = a.v[i] * b.v[i];
+    return r;
+  }
+  friend vd8 operator/(vd8 a, vd8 b) noexcept {
+    vd8 r;
+    for (std::size_t i = 0; i < kLanes; ++i) r.v[i] = a.v[i] / b.v[i];
     return r;
   }
   void mul_acc(vf8 a, vf8 b) noexcept {

@@ -15,8 +15,9 @@
 #include "cusim/kernels.hpp"
 #include "data/generator.hpp"
 #include "linalg/cg.hpp"
-#include "linalg/cholesky.hpp"
 #include "sparse/csr.hpp"
+
+#include "exact_oracle.hpp"
 
 namespace cumf::cusim {
 namespace {

@@ -13,6 +13,8 @@
 #include "linalg/gemm.hpp"
 #include "linalg/lu.hpp"
 
+#include "exact_oracle.hpp"
+
 namespace cumf {
 namespace {
 

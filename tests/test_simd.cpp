@@ -1,27 +1,35 @@
 // Differential tests for the SIMD hot-path kernels (src/simd, src/half,
-// linalg dense/CG, core hermitian).
+// linalg dense/CG/Cholesky/LU, core hermitian).
 //
-// Contract under test (see src/simd/vec.hpp): elementwise kernels and the
-// FP16 conversions are *bitwise* identical between the scalar and SIMD
-// paths; reduction kernels (dot, gemv inside CG) accumulate in double on
-// both paths and may differ only by lane reassociation of exactly-
-// representable products, so they are compared with tight tolerances.
+// Contract under test (see src/simd/vec.hpp): elementwise kernels, the
+// FP16 conversions and the exact solvers are *bitwise* identical between
+// the scalar and SIMD paths; reduction kernels (dot, gemv inside CG)
+// accumulate in double on both paths and may differ only by lane
+// reassociation of exactly-representable products, so they are compared
+// with tight tolerances.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/als.hpp"
 #include "core/hermitian.hpp"
+#include "core/multi_gpu.hpp"
+#include "core/solver.hpp"
 #include "data/generator.hpp"
 #include "half/half.hpp"
 #include "half/half_simd.hpp"
 #include "linalg/cg.hpp"
+#include "linalg/cholesky.hpp"
 #include "linalg/dense.hpp"
+#include "linalg/lu.hpp"
 #include "simd/vec.hpp"
 #include "sparse/coo.hpp"
 #include "sparse/csr.hpp"
@@ -433,6 +441,323 @@ TEST(SimdCg, SolutionsAgreeAcrossPathsFloatAndHalf) {
       for (std::size_t i = 0; i < f; ++i) {
         EXPECT_NEAR(xh_simd[i], xh_scalar[i],
                     (std::abs(xh_scalar[i]) + 1.0f) * 1e-5f);
+      }
+    }
+  }
+}
+
+// ---------- exact solvers: Cholesky and LU ----------
+
+/// Bit patterns of a float vector, for element-by-element equality that
+/// also holds for NaN and signed zero.
+std::vector<std::uint32_t> bits(std::span<const real_t> v) {
+  std::vector<std::uint32_t> out(v.size());
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    out[i] = std::bit_cast<std::uint32_t>(v[i]);
+  }
+  return out;
+}
+
+/// A_u of row `u` exactly as training builds it (SIMD get_hermitian, BIN
+/// 32), so the solvers see the production system's shape and rounding.
+std::vector<real_t> hermitian_system(const CsrMatrix& r, std::size_t f,
+                                     index_t u, std::vector<real_t>& b) {
+  Matrix theta(r.cols(), f);
+  als_init_factors(theta, 3.6, 43 + f);
+  HermitianParams params;
+  params.tile = 1;
+  HermitianWorkspace ws;
+  std::vector<real_t> a(f * f);
+  b.resize(f);
+  get_hermitian_row(r, theta, u, real_t{0.05f}, params, ws, a, b,
+                    simd::KernelPath::simd);
+  return a;
+}
+
+/// Cholesky factor and solve of `a` on both paths: the same verdict, the
+/// same factor (lower triangle L, upper triangle untouched) and the same x,
+/// bit for bit, with x separate from b and aliasing it.
+void expect_cholesky_paths_agree(std::size_t n, const std::vector<real_t>& a,
+                                 const std::vector<real_t>& b,
+                                 const std::string& what) {
+  std::vector<double> ws(cholesky_workspace_size(n));
+  auto l_scalar = a;
+  auto l_simd = a;
+  const bool ok_scalar =
+      cholesky_factor(n, l_scalar, simd::KernelPath::scalar);
+  const bool ok_simd =
+      cholesky_factor(n, l_simd, simd::KernelPath::simd, ws);
+  ASSERT_EQ(ok_scalar, ok_simd) << what;
+  ASSERT_EQ(bits(l_scalar), bits(l_simd)) << what;
+  if (!ok_scalar) {
+    return;
+  }
+  std::vector<real_t> x_scalar(n);
+  std::vector<real_t> x_simd(n);
+  cholesky_solve(n, l_scalar, b, x_scalar, simd::KernelPath::scalar);
+  cholesky_solve(n, l_simd, b, x_simd, simd::KernelPath::simd, ws);
+  EXPECT_EQ(bits(x_scalar), bits(x_simd)) << what;
+  auto bx = b;  // x aliasing b
+  cholesky_solve(n, l_simd, bx, bx, simd::KernelPath::simd, ws);
+  EXPECT_EQ(bits(x_scalar), bits(bx)) << what << " (x aliasing b)";
+}
+
+constexpr std::size_t kExactSizes[] = {1,  2,  7,  8,  9,  15, 16,
+                                       17, 33, 36, 64, 100, 128};
+
+/// G·Gᵀ + I with G's columns scaled by 2^-9 … 2^9. Its factor's products
+/// span so many binades that the double sums round differently in another
+/// order — data on which a reordered kernel shows.
+std::vector<real_t> wide_range_spd(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<real_t> g(n * n);
+  for (std::size_t k = 0; k < n; ++k) {
+    const float scale =
+        std::ldexp(1.0f, static_cast<int>(rng.uniform_index(19)) - 9);
+    for (std::size_t i = 0; i < n; ++i) {
+      g[i * n + k] = static_cast<real_t>(rng.normal()) * scale;
+    }
+  }
+  std::vector<real_t> a(n * n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      double acc = i == j ? 1.0 : 0.0;
+      for (std::size_t k = 0; k < n; ++k) {
+        acc += static_cast<double>(g[i * n + k]) * g[j * n + k];
+      }
+      a[i * n + j] = static_cast<real_t>(acc);
+    }
+  }
+  return a;
+}
+
+/// The scalar factor with every element's sum over k run in descending
+/// order: what a kernel that lost the ascending order would compute.
+bool cholesky_factor_k_descending(std::size_t n, std::vector<real_t>& a) {
+  for (std::size_t j = 0; j < n; ++j) {
+    double diag = static_cast<double>(a[j * n + j]);
+    for (std::size_t k = j; k-- > 0;) {
+      diag -= static_cast<double>(a[j * n + k]) * a[j * n + k];
+    }
+    if (diag <= 0.0 || !std::isfinite(diag)) {
+      return false;
+    }
+    const double ljj = std::sqrt(diag);
+    a[j * n + j] = static_cast<real_t>(ljj);
+    for (std::size_t i = j + 1; i < n; ++i) {
+      double acc = static_cast<double>(a[i * n + j]);
+      for (std::size_t k = j; k-- > 0;) {
+        acc -= static_cast<double>(a[i * n + k]) * a[j * n + k];
+      }
+      a[i * n + j] = static_cast<real_t>(acc / ljj);
+    }
+  }
+  return true;
+}
+
+TEST(SimdCholesky, FactorAndSolveAreBitwiseIdenticalAcrossPaths) {
+  // Sizes around the 8-lane blocks, the 4-column panels and the register
+  // block of 4 row blocks; get_hermitian-built systems (one short and one
+  // multi-batch row) and dense random SPD ones.
+  const auto r = hermitian_fixture(3, 200, 37);
+  for (const std::size_t n : kExactSizes) {
+    for (const index_t u : {1, 2}) {
+      std::vector<real_t> b;
+      const auto a = hermitian_system(r, n, u, b);
+      expect_cholesky_paths_agree(
+          n, a, b, "hermitian n=" + std::to_string(n) + " u=" +
+                       std::to_string(u));
+    }
+    expect_cholesky_paths_agree(n, spd_system(n, 71 + n),
+                                random_vec(n, 73 + n),
+                                "spd n=" + std::to_string(n));
+  }
+  // On the wide-range systems the order of each element's k sum shows in
+  // the float factor (checked against a descending-k replay), so equality
+  // across paths pins the SIMD kernel to ascending k.
+  for (const std::size_t n : {64ul, 100ul, 128ul}) {
+    const auto a = wide_range_spd(n, 31 + n);
+    expect_cholesky_paths_agree(n, a, random_vec(n, 37 + n),
+                                "wide range n=" + std::to_string(n));
+    auto ascending = a;
+    auto descending = a;
+    ASSERT_TRUE(cholesky_factor(n, ascending, simd::KernelPath::scalar));
+    ASSERT_TRUE(cholesky_factor_k_descending(n, descending));
+    EXPECT_NE(bits(ascending), bits(descending))
+        << "n=" << n << ": the wide-range data no longer shows the order";
+  }
+}
+
+TEST(SimdCholesky, RejectionsMatchAcrossPathsWithTheSameFactorPrefix) {
+  for (const std::size_t n : {9ul, 36ul, 100ul}) {
+    const auto base = spd_system(n, 79 + n);
+    const auto b = random_vec(n, 83 + n);
+    for (const std::size_t d : {std::size_t{0}, n / 3, n - 1}) {
+      // An indefinite diagonal: both paths reject at column d, with L in
+      // the columns before it and A's values from d on.
+      auto a = base;
+      a[d * n + d] = -1.0f;
+      expect_cholesky_paths_agree(n, a, b, "indefinite d=" + std::to_string(d));
+      // A NaN strictly below the diagonal poisons the rows that use it.
+      a = base;
+      const std::size_t i = std::max<std::size_t>(d, 1);
+      a[i * n + i - 1] = std::numeric_limits<real_t>::quiet_NaN();
+      expect_cholesky_paths_agree(n, a, b, "lower NaN d=" + std::to_string(d));
+    }
+    // The upper triangle is never read: NaN and inf there change nothing.
+    for (const real_t bad : {std::numeric_limits<real_t>::quiet_NaN(),
+                             std::numeric_limits<real_t>::infinity()}) {
+      auto a = base;
+      for (std::size_t i = 0; i + 1 < n; i += 2) {
+        a[i * n + n - 1] = bad;
+      }
+      a[n - 1] = bad;
+      expect_cholesky_paths_agree(n, a, b, "upper " + std::to_string(bad));
+      auto clean = base;
+      std::vector<double> ws(cholesky_workspace_size(n));
+      ASSERT_TRUE(cholesky_factor(n, clean, simd::KernelPath::simd, ws));
+      ASSERT_TRUE(cholesky_factor(n, a, simd::KernelPath::simd, ws));
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j <= i; ++j) {
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(clean[i * n + j]),
+                    std::bit_cast<std::uint32_t>(a[i * n + j]));
+        }
+      }
+    }
+  }
+}
+
+/// LU factor of `a` on both paths: the same verdict, packed factor and
+/// pivots, bit for bit; then the same solution.
+void expect_lu_paths_agree(std::size_t n, const std::vector<real_t>& a,
+                           const std::string& what) {
+  auto lu_scalar = a;
+  auto lu_simd = a;
+  std::vector<index_t> piv_scalar(n);
+  std::vector<index_t> piv_simd(n);
+  const bool ok_scalar =
+      lu_factor(n, lu_scalar, piv_scalar, simd::KernelPath::scalar);
+  const bool ok_simd =
+      lu_factor(n, lu_simd, piv_simd, simd::KernelPath::simd);
+  ASSERT_EQ(ok_scalar, ok_simd) << what;
+  ASSERT_EQ(bits(lu_scalar), bits(lu_simd)) << what;
+  ASSERT_EQ(piv_scalar, piv_simd) << what;
+}
+
+TEST(SimdLu, FactorIsBitwiseIdenticalAcrossPaths) {
+  const auto r = hermitian_fixture(3, 200, 89);
+  for (const std::size_t n : kExactSizes) {
+    std::vector<real_t> b;
+    expect_lu_paths_agree(n, hermitian_system(r, n, 1, b),
+                          "hermitian n=" + std::to_string(n));
+    // A general matrix: partial pivoting swaps rows at most steps.
+    expect_lu_paths_agree(n, random_vec(n * n, 97 + n),
+                          "random n=" + std::to_string(n));
+    // Singular: a zero column stays exactly zero through every update, so
+    // the factor stops at its pivot, partway, on both paths.
+    auto a = random_vec(n * n, 101 + n);
+    for (std::size_t i = 0; i < n; ++i) {
+      a[i * n + n / 2] = 0.0f;
+    }
+    expect_lu_paths_agree(n, a, "zero column n=" + std::to_string(n));
+    if (n >= 2) {
+      // Row n-1 repeats row 0: rounding decides whether a pivot comes out
+      // zero, and it must decide alike on both paths.
+      a = random_vec(n * n, 103 + n);
+      std::copy(a.begin(), a.begin() + static_cast<std::ptrdiff_t>(n),
+                a.begin() + static_cast<std::ptrdiff_t>((n - 1) * n));
+      expect_lu_paths_agree(n, a, "repeated row n=" + std::to_string(n));
+    }
+  }
+}
+
+TEST(SimdLu, RowUpdateContractsToFmaExactlyWhereTheScalarLoopDoes) {
+  // l = 1/3 is not a float, so l·u = 3·round(1/3) = 1 − 2^-54 is not a
+  // double: a fused a − l·u keeps the 2^-54, an unfused one rounds the
+  // product to 1 and returns 0. Row 0 = 3s and row 1 = 1s plant that
+  // update in every column of row 1, in the 8-lane body (n = 20: columns
+  // 1–16) and the scalar tail (17–19) alike. The other rows are the
+  // identity, so row 1 is the next pivot and keeps the planted values: a
+  // fused build factors on with a 2^-54 pivot, an unfused one stops there
+  // as singular. Whichever form the scalar loop compiles to, the SIMD lanes
+  // must match it bit for bit.
+  constexpr std::size_t n = 20;
+  const double l = 1.0 / 3.0;
+  volatile double product = l * 3.0;  // rounded: volatile stops fusion
+  const auto unfused = static_cast<real_t>(1.0 - product);
+  const auto fused = static_cast<real_t>(std::fma(-l, 3.0, 1.0));
+  ASSERT_NE(std::bit_cast<std::uint32_t>(unfused),
+            std::bit_cast<std::uint32_t>(fused))
+      << "the planted data no longer tells fused from unfused";
+
+  std::vector<real_t> a(n * n, 0.0f);
+  for (std::size_t j = 0; j < n; ++j) {
+    a[j] = 3.0f;
+    a[n + j] = 1.0f;
+  }
+  for (std::size_t i = 2; i < n; ++i) {
+    a[i * n + i] = 1.0f;
+  }
+  expect_lu_paths_agree(n, a, "contraction pin");
+  std::vector<index_t> piv(n);
+  const bool ok = lu_factor(n, a, piv, simd::KernelPath::simd);
+  const real_t planted = a[n + 1];
+  EXPECT_EQ(std::bit_cast<std::uint32_t>(planted),
+            std::bit_cast<std::uint32_t>(ok ? fused : unfused));
+  for (std::size_t j = 2; j < n; ++j) {
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(a[n + j]),
+              std::bit_cast<std::uint32_t>(planted))
+        << "j=" << j;
+  }
+}
+
+TEST(SimdExactSolvers, EnginesAreBitwiseIdenticalAcrossPaths) {
+  // solver.path pins get_hermitian and the solve together; both are
+  // bitwise, so whole epochs match in factors and SolveStats — on worker
+  // chunks and on the device shards of a two-GPU run.
+  SyntheticConfig cfg;
+  cfg.m = 120;
+  cfg.n = 70;
+  cfg.nnz = 2400;
+  cfg.seed = 107;
+  const auto data = generate_synthetic(cfg);
+  for (const SolverKind kind : {SolverKind::CholeskyFp32, SolverKind::LuFp32}) {
+    for (const int gpus : {0, 2}) {
+      AlsOptions options;
+      options.f = 20;
+      options.lambda = 0.05f;
+      options.workers = 2;
+      options.solver.kind = kind;
+      AlsOptions scalar_options = options;
+      scalar_options.solver.path = simd::KernelPath::scalar;
+      AlsOptions simd_options = options;
+      simd_options.solver.path = simd::KernelPath::simd;
+      const auto run = [&](const AlsOptions& o) {
+        std::unique_ptr<AlsEngine> engine;
+        if (gpus > 0) {
+          engine = std::make_unique<MultiGpuAls>(data.ratings, o, gpus);
+        } else {
+          engine = std::make_unique<AlsEngine>(data.ratings, o);
+        }
+        engine->run_epoch();
+        engine->run_epoch();
+        return engine;
+      };
+      const auto scalar = run(scalar_options);
+      const auto vector = run(simd_options);
+      const std::string what = std::string(to_string(kind)) +
+                               " gpus=" + std::to_string(gpus);
+      EXPECT_EQ(scalar->solve_stats(), vector->solve_stats()) << what;
+      EXPECT_GT(vector->solve_stats().systems, 0u) << what;
+      for (const auto pick : {&AlsEngine::user_factors,
+                              &AlsEngine::item_factors}) {
+        const Matrix& ms = ((*scalar).*pick)();
+        const Matrix& mv = ((*vector).*pick)();
+        ASSERT_EQ(ms.rows(), mv.rows());
+        for (std::size_t i = 0; i < ms.rows(); ++i) {
+          ASSERT_EQ(bits(ms.row(i)), bits(mv.row(i)))
+              << what << " row " << i;
+        }
       }
     }
   }

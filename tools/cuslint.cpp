@@ -25,6 +25,7 @@
 #include "analysis/cuverify/verify.hpp"
 #include "analysis/fixtures.hpp"
 #include "analysis/report.hpp"
+#include "common/check.hpp"
 #include "common/rng.hpp"
 #include "cusim/cusim.hpp"
 #include "gpusim/device.hpp"
@@ -39,17 +40,7 @@ namespace {
 [[noreturn]] void usage() {
   std::fprintf(stderr,
                "usage: cuslint --all [--fixtures] [--json FILE]\n"
-               "               [--device kepler_k40|maxwell_titan_x|"
-               "pascal_p100|volta_v100]\n");
-  std::exit(2);
-}
-
-gpusim::DeviceSpec parse_device(const std::string& name) {
-  if (name == "kepler_k40") return gpusim::DeviceSpec::kepler_k40();
-  if (name == "maxwell_titan_x") return gpusim::DeviceSpec::maxwell_titan_x();
-  if (name == "pascal_p100") return gpusim::DeviceSpec::pascal_p100();
-  if (name == "volta_v100") return gpusim::DeviceSpec::volta_v100();
-  std::fprintf(stderr, "cuslint: unknown device '%s'\n", name.c_str());
+               "               [--device k40|titanx|p100|v100]\n");
   std::exit(2);
 }
 
@@ -123,7 +114,12 @@ int main(int argc, char** argv) {
     } else if (arg == "--json") {
       json_path = next();
     } else if (arg == "--device") {
-      device = parse_device(next());
+      try {
+        device = gpusim::device_by_name(next());
+      } catch (const CheckError& e) {
+        std::fprintf(stderr, "cuslint: %s\n", e.what());
+        return 2;
+      }
     } else {
       std::fprintf(stderr, "cuslint: unknown option '%s'\n", arg.c_str());
       usage();
