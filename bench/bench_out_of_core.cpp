@@ -5,7 +5,12 @@
 //   1. Native check: shard a scaled synthetic dataset and train OocAlsEngine
 //      under a host budget of two tiles — factors and SolveStats must be
 //      bit-identical to the in-core AlsEngine on the same split, with
-//      prefetch both on and off.
+//      prefetch both on and off. Also times the modeled timeline of that
+//      layout (epoch_timeline, as cumf_train computes it before epoch 1)
+//      against the measured streamed epoch: "native_epoch_over_model" is
+//      epoch / timeline host seconds, which the CI perf-smoke gate holds
+//      above a floor so the model never again costs more than the epoch it
+//      models.
 //   2. Full-scale model: Hugewiki (3.1B nnz — the matrix that motivates
 //      streaming: its tiles alone outweigh a 16 GB device) and Netflix at
 //      Table II sizes, cut into even tile layouts and pushed through
@@ -159,13 +164,31 @@ int main(int argc, char** argv) {
   std::printf("  in-core epoch: %.4f s\n", ref_epoch_s);
 
   std::map<std::string, double> native_json;
+  std::map<std::string, double> speedups;
   native_json["epoch_s_incore"] = ref_epoch_s;
+  const auto dev = gpusim::DeviceSpec::pascal_p100();
+  AlsKernelConfig native_kc;
+  native_kc.f = static_cast<int>(opt.f);
+  native_kc.tile = pick_tile(opt.f, opt.hermitian.tile);
+  native_kc.bin = opt.hermitian.bin;
+  native_kc.solver = opt.solver.kind;
+  native_kc.cg_fs = opt.solver.cg_fs;
   bool identical = true;
   for (const bool overlap : {true, false}) {
     OocOptions ooc;
     ooc.host_mem_bytes = 2 * largest;
     ooc.overlap = overlap;
     OocAlsEngine engine(shard_dir, opt, ooc);
+    if (overlap) {
+      Stopwatch model_sw;
+      const OocTimeline tl = engine.epoch_timeline(
+          dev, native_kc, gpusim::LinkSpec::nvlink(), engine.overlap_active());
+      const double model_s = model_sw.seconds();
+      std::printf("  modeled timeline of this layout: %.4f s of host time "
+                  "(models a %.6f s epoch)\n",
+                  model_s, tl.pipelined_s);
+      native_json["timeline_host_s"] = model_s;
+    }
     Stopwatch sw;
     for (int e = 0; e < epochs; ++e) {
       engine.run_epoch();
@@ -184,6 +207,10 @@ int main(int argc, char** argv) {
                 engine.solve_stats() == reference.solve_stats();
   }
   native_json["bit_identical"] = identical ? 1.0 : 0.0;
+  speedups["native_epoch_over_model"] =
+      native_json["epoch_s_streamed"] / native_json["timeline_host_s"];
+  std::printf("  streamed epoch / timeline host seconds: %.2f\n",
+              speedups["native_epoch_over_model"]);
   std::printf("  streamed factors + SolveStats vs in-core: %s\n",
               identical ? "bit-identical" : "MISMATCH");
   std::filesystem::remove_all(shard_dir);
@@ -193,10 +220,8 @@ int main(int argc, char** argv) {
   }
 
   // --- 2. full-scale model: Table II sizes streamed over real links ------
-  const auto dev = gpusim::DeviceSpec::pascal_p100();
   constexpr std::size_t kModelTiles = 16;
   std::map<std::string, double> full_json;
-  std::map<std::string, double> speedups;
   double best_gain = 0.0;
   for (const auto& preset :
        {DatasetPreset::netflix(), DatasetPreset::hugewiki()}) {

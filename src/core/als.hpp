@@ -280,6 +280,11 @@ class AlsEngine {
   AlsEngine(const std::string& shard_dir, const AlsOptions& options,
             const OocOptions& ooc);
 
+  /// The worker pool (one thread per worker context), or nullptr with a
+  /// single context. Idle between epochs, so the engines' timeline models
+  /// run their independent per-tile and per-shard evaluations on it.
+  ThreadPool* worker_pool() const noexcept { return pool_.get(); }
+
   /// In-core row source (empty when streamed): the train ratings by row
   /// (update-X view) and their transpose (update-Θ view).
   CsrMatrix r_;

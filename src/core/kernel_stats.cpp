@@ -2,9 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
+#include <map>
+#include <memory>
+#include <mutex>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 
 namespace cumf {
 
@@ -44,48 +49,138 @@ gpusim::TraceConfig trace_config(const AlsKernelConfig& config) {
   return tc;
 }
 
-/// Column lists for the resident blocks of the trace: real rows when a CSR
-/// sample is available, otherwise synthetic rows with the average degree.
-std::vector<std::vector<index_t>> sample_block_rows(
-    const UpdateShape& shape, int blocks, int rounds,
-    const CsrMatrix* sample) {
+/// Rows each resident block stages in the load trace.
+constexpr int kTraceRounds = 2;
+
+/// Column lists for the resident blocks of the trace from real rows: a
+/// deterministic stride through the matrix, skipping empty rows.
+std::vector<std::vector<index_t>> sampled_block_rows(const CsrMatrix& sample,
+                                                     int blocks) {
   std::vector<std::vector<index_t>> rows;
   rows.reserve(static_cast<std::size_t>(blocks));
-  const auto want = static_cast<std::size_t>(blocks);
-
-  if (sample != nullptr && sample->rows() > 0) {
-    // Deterministic stride through the matrix, skipping empty rows.
-    const index_t stride = std::max<index_t>(1, sample->rows() / 97);
-    index_t u = 0;
-    while (rows.size() < want) {
-      std::vector<index_t> cols;
-      for (int round = 0; round < rounds; ++round) {
-        for (index_t probe = 0; probe < sample->rows(); ++probe) {
-          u = (u + stride) % sample->rows();
-          if (sample->row_nnz(u) > 0) {
-            const auto rc = sample->row_cols(u);
-            cols.insert(cols.end(), rc.begin(), rc.end());
-            break;
-          }
+  const index_t stride = std::max<index_t>(1, sample.rows() / 97);
+  index_t u = 0;
+  while (rows.size() < static_cast<std::size_t>(blocks)) {
+    std::vector<index_t> cols;
+    for (int round = 0; round < kTraceRounds; ++round) {
+      for (index_t probe = 0; probe < sample.rows(); ++probe) {
+        u = (u + stride) % sample.rows();
+        if (sample.row_nnz(u) > 0) {
+          const auto rc = sample.row_cols(u);
+          cols.insert(cols.end(), rc.begin(), rc.end());
+          break;
         }
       }
-      rows.push_back(std::move(cols));
-    }
-    return rows;
-  }
-
-  const auto degree = static_cast<std::size_t>(std::max(
-      1.0, shape.nnz / std::max(1.0, shape.rows)));
-  Rng rng(0xC0FFEE);
-  const auto n_cols = static_cast<std::uint64_t>(std::max(1.0, shape.cols));
-  for (std::size_t b = 0; b < want; ++b) {
-    std::vector<index_t> cols(degree * static_cast<std::size_t>(rounds));
-    for (auto& c : cols) {
-      c = static_cast<index_t>(rng.uniform_index(n_cols));
     }
     rows.push_back(std::move(cols));
   }
   return rows;
+}
+
+/// Everything the synthetic load trace reads: the device's cache geometry
+/// and warp size, the trace configuration, the resident blocks, and the
+/// shape reduced to its average degree ⌊nnz/rows⌋ and fixed dimension.
+struct SyntheticTraceKey {
+  int warp_size;
+  int line_bytes;
+  int l1_bytes;
+  std::int64_t l2_bytes;
+  int sm_count;
+  int f;
+  int bin;
+  int threads_per_block;
+  bool coalesced;
+  bool l1_enabled;
+  std::uint64_t theta_base;
+  int blocks;
+  std::size_t degree;
+  std::uint64_t cols;
+
+  auto operator<=>(const SyntheticTraceKey&) const = default;
+};
+
+/// Synthetic rows with the key's average degree and uniform columns.
+std::vector<std::vector<index_t>> synthetic_block_rows(
+    const SyntheticTraceKey& key) {
+  std::vector<std::vector<index_t>> rows;
+  rows.reserve(static_cast<std::size_t>(key.blocks));
+  Rng rng(0xC0FFEE);
+  for (int b = 0; b < key.blocks; ++b) {
+    std::vector<index_t> cols(key.degree *
+                              static_cast<std::size_t>(kTraceRounds));
+    for (auto& c : cols) {
+      c = static_cast<index_t>(rng.uniform_index(key.cols));
+    }
+    rows.push_back(std::move(cols));
+  }
+  return rows;
+}
+
+/// simulate_hermitian_load over synthetic rows, memoized process-wide on
+/// SyntheticTraceKey: tile layouts, multi-GPU shards, tuner candidates
+/// that differ only in solver or fs, and repeated runs in one process all
+/// share an average degree far more often than an exact shape. Concurrent
+/// callers of one key wait for a single simulation.
+gpusim::TraceStats synthetic_trace_stats(const gpusim::DeviceSpec& dev,
+                                         const gpusim::TraceConfig& tc,
+                                         const SyntheticTraceKey& key) {
+  struct Entry {
+    std::once_flag once;
+    gpusim::TraceStats stats;
+  };
+  // Bounded so a long-lived process sweeping shapes cannot grow it
+  // without limit; entries in use survive a reset through their shared_ptr.
+  constexpr std::size_t kMaxEntries = 4096;
+  static std::mutex mutex;
+  static std::map<SyntheticTraceKey, std::shared_ptr<Entry>> memo;
+  std::shared_ptr<Entry> entry;
+  {
+    const std::lock_guard<std::mutex> lock(mutex);
+    if (memo.size() >= kMaxEntries) {
+      memo.clear();
+    }
+    std::shared_ptr<Entry>& slot = memo[key];
+    if (slot == nullptr) {
+      slot = std::make_shared<Entry>();
+    }
+    entry = slot;
+  }
+  std::call_once(entry->once, [&] {
+    entry->stats = simulate_hermitian_load(dev, tc, synthetic_block_rows(key));
+  });
+  return entry->stats;
+}
+
+/// The load-phase trace of `config` at `shape`: real rows when a CSR sample
+/// is available, otherwise synthetic rows with the average degree.
+gpusim::TraceStats load_trace_stats(const gpusim::DeviceSpec& dev,
+                                    const UpdateShape& shape,
+                                    const AlsKernelConfig& config,
+                                    const gpusim::Occupancy& occ,
+                                    const CsrMatrix* sample) {
+  const gpusim::TraceConfig tc = trace_config(config);
+  const int blocks = std::max(1, occ.blocks_per_sm);
+  if (sample != nullptr && sample->rows() > 0) {
+    return simulate_hermitian_load(dev, tc, sampled_block_rows(*sample,
+                                                               blocks));
+  }
+  const SyntheticTraceKey key{
+      dev.warp_size,
+      dev.cache_line_bytes,
+      dev.l1_bytes,
+      dev.l2_bytes,
+      dev.sm_count,
+      tc.f,
+      tc.bin,
+      tc.threads_per_block,
+      tc.coalesced,
+      tc.l1_enabled,
+      tc.theta_base,
+      blocks,
+      static_cast<std::size_t>(
+          std::max(1.0, shape.nnz / std::max(1.0, shape.rows))),
+      static_cast<std::uint64_t>(std::max(1.0, shape.cols))};
+  return synthetic_trace_stats(dev, tc, key);
 }
 
 }  // namespace
@@ -108,10 +203,8 @@ gpusim::TraceStats hermitian_load_stats(const gpusim::DeviceSpec& dev,
                                         const CsrMatrix* sample_rows) {
   CUMF_EXPECTS(shape.rows > 0 && shape.cols > 0 && shape.nnz > 0,
                "update shape must be non-empty");
-  const gpusim::Occupancy occ = hermitian_occupancy(dev, config);
-  const auto block_rows = sample_block_rows(
-      shape, std::max(1, occ.blocks_per_sm), /*rounds=*/2, sample_rows);
-  return simulate_hermitian_load(dev, trace_config(config), block_rows);
+  return load_trace_stats(dev, shape, config,
+                          hermitian_occupancy(dev, config), sample_rows);
 }
 
 gpusim::Occupancy hermitian_occupancy(const gpusim::DeviceSpec& dev,
@@ -139,11 +232,8 @@ UpdatePhaseTimes update_phase_times(const gpusim::DeviceSpec& dev,
 
   // --- load: stage θ batches from global memory (trace-driven) ---
   {
-    const auto tc = trace_config(config);
-    const auto block_rows = sample_block_rows(
-        shape, std::max(1, occ.blocks_per_sm), /*rounds=*/2, sample_rows);
     const gpusim::TraceStats trace =
-        simulate_hermitian_load(dev, tc, block_rows);
+        load_trace_stats(dev, shape, config, occ, sample_rows);
 
     gpusim::KernelProfile p;
     p.name = "hermitian_load";
@@ -248,6 +338,41 @@ UpdatePhaseTimes update_phase_times(const gpusim::DeviceSpec& dev,
     out.solve = kernel_time(dev, p);
   }
   return out;
+}
+
+std::vector<double> update_seconds(const gpusim::DeviceSpec& dev,
+                                   std::span<const UpdateShape> shapes,
+                                   const AlsKernelConfig& config,
+                                   ThreadPool* pool) {
+  std::vector<double> seconds(shapes.size());
+  std::vector<std::exception_ptr> errors(shapes.size());
+  const auto body = [&](std::size_t begin, std::size_t end, std::size_t) {
+    for (std::size_t i = begin; i < end; ++i) {
+      try {
+        seconds[i] = update_phase_times(dev, shapes[i], config).total_seconds();
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
+    }
+  };
+  if (pool != nullptr && shapes.size() > 1) {
+    // One shape per chunk: a few shapes of very uneven cost (a column tile
+    // traces hundreds of times the lines of a row tile) balance best when
+    // workers pull them one at a time.
+    std::vector<std::size_t> bounds(shapes.size() + 1);
+    for (std::size_t i = 0; i < bounds.size(); ++i) {
+      bounds[i] = i;
+    }
+    pool->parallel_for_chunks(bounds, body);
+  } else {
+    body(0, shapes.size(), 0);
+  }
+  for (const std::exception_ptr& error : errors) {
+    if (error) {
+      std::rethrow_exception(error);
+    }
+  }
+  return seconds;
 }
 
 double als_epoch_seconds(const gpusim::DeviceSpec& dev, double m, double n,

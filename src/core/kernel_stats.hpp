@@ -10,6 +10,8 @@
 
 #include <algorithm>
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "core/solver.hpp"
 #include "gpusim/cost_model.hpp"
@@ -20,6 +22,8 @@
 #include "sparse/csr.hpp"
 
 namespace cumf {
+
+class ThreadPool;
 
 /// Global-memory access scheme of get_hermitian's load phase (Fig. 3/4).
 enum class LoadScheme {
@@ -82,7 +86,9 @@ gpusim::Occupancy hermitian_occupancy(const gpusim::DeviceSpec& dev,
 
 /// Models one half-sweep. `sample_rows`, when given, supplies real rating
 /// rows whose column lists drive the cache-trace simulation of the load
-/// phase; otherwise synthetic uniform rows with nnz/rows non-zeros are used.
+/// phase; otherwise synthetic uniform rows with ⌊nnz/rows⌋ non-zeros are
+/// used, and their trace statistics are memoized process-wide on what the
+/// trace reads (device cache geometry, kernel config, degree, fixed side).
 UpdatePhaseTimes update_phase_times(const gpusim::DeviceSpec& dev,
                                     const UpdateShape& shape,
                                     const AlsKernelConfig& config,
@@ -95,6 +101,15 @@ gpusim::TraceStats hermitian_load_stats(const gpusim::DeviceSpec& dev,
                                         const UpdateShape& shape,
                                         const AlsKernelConfig& config,
                                         const CsrMatrix* sample_rows = nullptr);
+
+/// update_phase_times(dev, shapes[i], config).total_seconds() for every
+/// shape, one shape per task on `pool` when given. Results are written by
+/// index, so they are identical for any pool size; the first failing
+/// shape's exception is rethrown on the caller.
+std::vector<double> update_seconds(const gpusim::DeviceSpec& dev,
+                                   std::span<const UpdateShape> shapes,
+                                   const AlsKernelConfig& config,
+                                   ThreadPool* pool = nullptr);
 
 /// Full-epoch simulated seconds: update-X + update-Θ on `gpus` devices.
 /// Multi-GPU runs partition rows per device and all-gather the updated

@@ -28,6 +28,8 @@ struct MultiGpuHalfSweep {
   double comm_total_s = 0.0;  ///< raw ring all-gather wire time
   double comm_s = 0.0;        ///< exposed comm after pipelined overlap
   double seconds() const noexcept { return compute_s + comm_s; }
+
+  bool operator==(const MultiGpuHalfSweep&) const = default;
 };
 
 /// Modeled epoch timeline: both half-sweeps plus their all-gathers.
@@ -43,6 +45,8 @@ struct MultiGpuTimeline {
   double total_s() const noexcept {
     return update_x.seconds() + update_theta.seconds();
   }
+
+  bool operator==(const MultiGpuTimeline&) const = default;
 };
 
 /// Scaling-efficiency report against the modeled single-device epoch.
@@ -55,6 +59,9 @@ struct MultiGpuScaling {
   double speedup = 0.0;       ///< single_gpu_s / total_s
   double efficiency = 0.0;    ///< speedup / gpus
   double comm_fraction = 0.0; ///< comm_s / total_s
+  /// The g-device timeline the totals above summarize (empty when the
+  /// report was not built from an engine's shards).
+  MultiGpuTimeline timeline;
 };
 
 /// Models one half-sweep of `view`'s rows cut into device `shards` joined
@@ -64,12 +71,15 @@ struct MultiGpuScaling {
 /// finished row blocks into the ring while computing the remainder, so a
 /// half-sweep costs max(compute, comm) + min(compute, comm)/C with C =
 /// MultiGpuAls::kOverlapPipelineDepth chunks instead of compute + comm.
+/// The per-shard compute models run on `pool` when given; the result is
+/// identical for any pool size.
 MultiGpuHalfSweep multi_gpu_half_sweep(const gpusim::DeviceSpec& dev,
                                        const AlsKernelConfig& config,
                                        const gpusim::LinkSpec& link,
                                        const CsrMatrix& view,
                                        const std::vector<RowRange>& shards,
-                                       bool overlap);
+                                       bool overlap,
+                                       ThreadPool* pool = nullptr);
 
 /// AlsEngine over the in-core rows cut into `gpus` device shards (see
 /// AlsEngine's protected device constructor), plus the modeled multi-device
@@ -86,14 +96,16 @@ class MultiGpuAls : public AlsEngine {
   }
 
   /// Modeled epoch timeline on `dev` devices joined by `link`: both
-  /// half-sweeps of multi_gpu_half_sweep over this engine's shards.
+  /// half-sweeps of multi_gpu_half_sweep over this engine's shards, the
+  /// shard models evaluated on the engine's device pool.
   MultiGpuTimeline epoch_timeline(const gpusim::DeviceSpec& dev,
                                   const AlsKernelConfig& config,
                                   const gpusim::LinkSpec& link,
                                   bool overlap = true) const;
 
   /// Speedup / efficiency / comm-fraction of epoch_timeline() against the
-  /// modeled single-device epoch on the same data and config.
+  /// modeled single-device epoch on the same data and config; the report
+  /// carries that timeline, so callers need not build it again.
   MultiGpuScaling scaling_report(const gpusim::DeviceSpec& dev,
                                  const AlsKernelConfig& config,
                                  const gpusim::LinkSpec& link,

@@ -1,48 +1,43 @@
 #include "core/ooc_als.hpp"
 
-#include <map>
 #include <numeric>
-#include <utility>
 
 namespace cumf {
 
 OocTimeline ooc_epoch_timeline(const gpusim::DeviceSpec& dev,
                                const AlsKernelConfig& config,
                                const gpusim::LinkSpec& link,
-                               const ShardMeta& meta, bool overlap) {
-  OocTimeline tl;
+                               const ShardMeta& meta, bool overlap,
+                               ThreadPool* pool) {
   const struct {
     const std::vector<TileRange>* tiles;
     double fixed_dim;
   } views[] = {{&meta.row_tiles, static_cast<double>(meta.cols)},
                {&meta.col_tiles, static_cast<double>(meta.rows)}};
+  // Every tile's compute model is independent: evaluate both views' tiles
+  // in one batch (on the pool when given), then sum each view in order.
+  std::vector<UpdateShape> shapes;
+  for (const auto& view : views) {
+    for (const TileRange& t : *view.tiles) {
+      shapes.push_back({static_cast<double>(t.row_end - t.row_begin),
+                        view.fixed_dim, static_cast<double>(t.nnz)});
+    }
+  }
+  const std::vector<double> seconds =
+      update_seconds(dev, shapes, config, pool);
+
+  OocTimeline tl;
+  auto next = seconds.begin();
   for (const auto& view : views) {
     std::vector<double> transfer;
-    std::vector<double> compute;
     transfer.reserve(view.tiles->size());
-    compute.reserve(view.tiles->size());
-    // update_phase_times is a pure function of the shape, and evenly cut
-    // layouts (the full-scale benches) repeat one shape per view — memoize
-    // so a 16-tile billion-nnz layout costs two cost-model evaluations, not
-    // sixteen.
-    std::map<std::pair<index_t, nnz_t>, double> memo;
     for (const TileRange& t : *view.tiles) {
       transfer.push_back(
           gpusim::transfer_seconds(link, static_cast<double>(t.bytes)));
-      const auto key = std::make_pair(
-          static_cast<index_t>(t.row_end - t.row_begin), t.nnz);
-      auto it = memo.find(key);
-      if (it == memo.end()) {
-        const UpdateShape shape{static_cast<double>(key.first),
-                                view.fixed_dim,
-                                static_cast<double>(t.nnz)};
-        it = memo.emplace(key,
-                          update_phase_times(dev, shape, config)
-                              .total_seconds())
-                 .first;
-      }
-      compute.push_back(it->second);
     }
+    const std::vector<double> compute(
+        next, next + static_cast<std::ptrdiff_t>(view.tiles->size()));
+    next += static_cast<std::ptrdiff_t>(view.tiles->size());
     const double t_sum =
         std::accumulate(transfer.begin(), transfer.end(), 0.0);
     const double c_sum = std::accumulate(compute.begin(), compute.end(), 0.0);

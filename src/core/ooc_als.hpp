@@ -38,17 +38,22 @@ struct OocTimeline {
   double serial_s = 0.0;     ///< no-overlap wall: Σ (transfer + compute)
   double pipelined_s = 0.0;  ///< overlap wall (pipelined_stream_seconds)
   double overlap_gain = 0.0; ///< serial_s / pipelined_s
+
+  bool operator==(const OocTimeline&) const = default;
 };
 
 /// Models a streamed epoch for a shard layout without touching tile files —
 /// the engine's epoch_timeline and the full-scale Hugewiki bench both feed
 /// through here. Per tile: transfer of its on-disk bytes over `link`,
 /// compute from update_phase_times at its rows/nnz; each half-sweep is
-/// pipelined (or summed serially when `overlap` is false).
+/// pipelined (or summed serially when `overlap` is false). The per-tile
+/// compute models run on `pool` when given; the result is identical for
+/// any pool size.
 OocTimeline ooc_epoch_timeline(const gpusim::DeviceSpec& dev,
                                const AlsKernelConfig& config,
                                const gpusim::LinkSpec& link,
-                               const ShardMeta& meta, bool overlap = true);
+                               const ShardMeta& meta, bool overlap = true,
+                               ThreadPool* pool = nullptr);
 
 /// AlsEngine over the tiles of the shard store in `shard_dir` (see
 /// AlsEngine's protected streamed constructor), plus the modeled timeline
@@ -61,12 +66,14 @@ class OocAlsEngine : public AlsEngine {
 
   const ShardMeta& meta() const noexcept { return *streamed_meta(); }
 
-  /// Modeled streamed-epoch timeline for this shard layout on `dev`/`link`.
+  /// Modeled streamed-epoch timeline for this shard layout on `dev`/`link`,
+  /// its tile models evaluated on the engine's worker pool.
   OocTimeline epoch_timeline(const gpusim::DeviceSpec& dev,
                              const AlsKernelConfig& config,
                              const gpusim::LinkSpec& link,
                              bool overlap = true) const {
-    return ooc_epoch_timeline(dev, config, link, meta(), overlap);
+    return ooc_epoch_timeline(dev, config, link, meta(), overlap,
+                              worker_pool());
   }
 };
 

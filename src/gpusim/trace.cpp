@@ -8,13 +8,176 @@ namespace cumf::gpusim {
 
 namespace {
 
-/// Collects the distinct lines covering byte range [begin, end).
-void add_range_lines(std::uint64_t begin, std::uint64_t end, int line_bytes,
-                     std::vector<std::uint64_t>& out) {
-  const auto lb = static_cast<std::uint64_t>(line_bytes);
-  for (std::uint64_t line = begin / lb; line <= (end - 1) / lb; ++line) {
-    out.push_back(line * lb);
+/// Streams the load-phase warp instructions of one thread-block staging the
+/// feature columns `cols` under `config`'s scheme, one instruction per
+/// next() call, into a buffer the generator owns. Under scheme (b) the lane
+/// addresses of an element step are the batch's per-lane column offsets
+/// plus one common stride, so each warp's lanes are sorted by address once
+/// per BIN batch; every step then reads its distinct lines off that order
+/// in ascending sequence without a per-instruction sort or allocation.
+class LoadTraceGenerator {
+ public:
+  /// `cols` must outlive the generator.
+  LoadTraceGenerator(const DeviceSpec& dev, const TraceConfig& config,
+                     std::span<const index_t> cols);
+
+  /// The next instruction's distinct cache-line addresses in ascending
+  /// order (never empty), or an empty span once the stream is exhausted.
+  /// The span is valid until the next call.
+  std::span<const std::uint64_t> next();
+
+ private:
+  /// One lane of a scheme-(b) warp for the current batch: the address of
+  /// its first element and that element's index within the column.
+  struct Lane {
+    std::uint64_t addr = 0;
+    std::uint64_t elem = 0;
+  };
+
+  std::uint64_t col_base(index_t v) const noexcept {
+    return theta_base_ + static_cast<std::uint64_t>(v) * col_bytes_;
   }
+  std::uint64_t line_of(std::uint64_t addr) const noexcept {
+    return addr & line_mask_;
+  }
+  /// Scheme (b): lays out the batch starting at `batch_` and sorts each
+  /// warp's lanes by address.
+  void start_batch();
+
+  std::span<const index_t> cols_;
+  std::uint64_t theta_base_;
+  std::uint64_t f_;
+  std::uint64_t col_bytes_;
+  std::uint64_t line_mask_;  ///< clears the offset within a cache line
+  std::size_t bin_;
+  std::size_t warp_;
+  std::size_t warps_per_block_;
+  std::size_t threads_per_block_;
+  bool coalesced_;
+  std::vector<std::uint64_t> lines_;  ///< the returned instruction
+
+  // Scheme (a) cursor: column cols_[col_], byte offset off_ within it.
+  std::size_t col_ = 0;
+  std::uint64_t off_ = 0;
+
+  // Scheme (b) cursor: batch start, element step, warp of the step.
+  std::size_t batch_ = 0;
+  std::uint64_t seg_len_ = 0;
+  std::uint64_t step_ = 0;
+  std::size_t warp_idx_ = 0;
+  std::vector<Lane> lanes_;  ///< [warp][lane], sorted by addr per warp
+};
+
+LoadTraceGenerator::LoadTraceGenerator(const DeviceSpec& dev,
+                                       const TraceConfig& config,
+                                       std::span<const index_t> cols)
+    : cols_(cols),
+      theta_base_(config.theta_base),
+      f_(static_cast<std::uint64_t>(config.f)),
+      col_bytes_(f_ * sizeof(real_t)),
+      line_mask_(~(static_cast<std::uint64_t>(dev.cache_line_bytes) - 1)),
+      bin_(static_cast<std::size_t>(config.bin)),
+      warp_(static_cast<std::size_t>(dev.warp_size)),
+      warps_per_block_(static_cast<std::size_t>(config.threads_per_block /
+                                                dev.warp_size)),
+      threads_per_block_(static_cast<std::size_t>(config.threads_per_block)),
+      coalesced_(config.coalesced) {
+  CUMF_EXPECTS(config.f > 0 && config.bin > 0, "f and BIN must be positive");
+  CUMF_EXPECTS(config.threads_per_block % dev.warp_size == 0,
+               "block must be whole warps");
+  CUMF_EXPECTS(dev.cache_line_bytes > 0 &&
+                   (dev.cache_line_bytes & (dev.cache_line_bytes - 1)) == 0,
+               "cache line must be a power of 2");
+  // Scheme (a) spans at most warp_size floats per instruction; scheme (b)
+  // touches at most one line per lane.
+  lines_.resize(std::max(warp_, warp_ * sizeof(real_t) /
+                                        static_cast<std::size_t>(
+                                            dev.cache_line_bytes) +
+                                    2));
+  if (!coalesced_) {
+    lanes_.resize(threads_per_block_);
+    if (!cols_.empty()) {
+      start_batch();
+    }
+  }
+}
+
+void LoadTraceGenerator::start_batch() {
+  // Scheme (b): each thread owns one column (threads beyond the batch width
+  // share columns by splitting the element range). Element step e: thread t
+  // reads element (t / bin) % segments * seg_len + e of column
+  // batch_cols[t % bin].
+  const std::size_t width = std::min(bin_, cols_.size() - batch_);
+  const auto batch_cols = cols_.subspan(batch_, width);
+  const std::size_t segments = std::max<std::size_t>(
+      1, threads_per_block_ / width);
+  seg_len_ = (f_ + segments - 1) / segments;
+  step_ = 0;
+  warp_idx_ = 0;
+  for (std::size_t t = 0; t < threads_per_block_; ++t) {
+    const std::uint64_t elem = t / width % segments * seg_len_;
+    lanes_[t] = {col_base(batch_cols[t % width]) + elem * sizeof(real_t),
+                 elem};
+  }
+  // Every lane advances by the same stride per step, and line_of is
+  // monotone, so address order is line order at every step.
+  for (std::size_t w = 0; w < warps_per_block_; ++w) {
+    const auto first = lanes_.begin() + static_cast<std::ptrdiff_t>(w * warp_);
+    std::sort(first, first + static_cast<std::ptrdiff_t>(warp_),
+              [](const Lane& a, const Lane& b) { return a.addr < b.addr; });
+  }
+}
+
+std::span<const std::uint64_t> LoadTraceGenerator::next() {
+  if (coalesced_) {
+    // Scheme (a): all threads cooperate on one column before the next.
+    // Each warp instruction covers warp_size consecutive floats.
+    if (col_ == cols_.size()) {
+      return {};
+    }
+    const std::uint64_t base = col_base(cols_[col_]);
+    const std::uint64_t width = warp_ * sizeof(real_t);
+    const std::uint64_t end = std::min(col_bytes_, off_ + width);
+    const std::uint64_t line_bytes = ~line_mask_ + 1;
+    std::size_t n = 0;
+    for (std::uint64_t line = line_of(base + off_);
+         line <= line_of(base + end - 1); line += line_bytes) {
+      lines_[n++] = line;
+    }
+    off_ += width;
+    if (off_ >= col_bytes_) {
+      off_ = 0;
+      ++col_;
+    }
+    return {lines_.data(), n};
+  }
+  while (batch_ < cols_.size()) {
+    for (; step_ < seg_len_; ++step_, warp_idx_ = 0) {
+      const std::uint64_t shift = step_ * sizeof(real_t);
+      while (warp_idx_ < warps_per_block_) {
+        const Lane* lane = &lanes_[warp_idx_ * warp_];
+        ++warp_idx_;
+        std::size_t n = 0;
+        for (const Lane* end = lane + warp_; lane != end; ++lane) {
+          if (lane->elem + step_ >= f_) {
+            continue;  // tail of the last segment
+          }
+          const std::uint64_t line = line_of(lane->addr + shift);
+          if (n == 0 || lines_[n - 1] != line) {
+            lines_[n++] = line;
+          }
+        }
+        if (n > 0) {
+          return {lines_.data(), n};
+        }
+      }
+    }
+    batch_ += bin_;
+    if (batch_ < cols_.size()) {
+      start_batch();
+    }
+  }
+  return {};
 }
 
 }  // namespace
@@ -22,86 +185,10 @@ void add_range_lines(std::uint64_t begin, std::uint64_t end, int line_bytes,
 std::vector<WarpInstruction> hermitian_load_trace(
     const DeviceSpec& dev, const TraceConfig& config,
     std::span<const index_t> cols) {
-  CUMF_EXPECTS(config.f > 0 && config.bin > 0, "f and BIN must be positive");
-  CUMF_EXPECTS(config.threads_per_block % dev.warp_size == 0,
-               "block must be whole warps");
+  LoadTraceGenerator gen(dev, config, cols);
   std::vector<WarpInstruction> stream;
-  const auto f = static_cast<std::uint64_t>(config.f);
-  const auto col_bytes = f * sizeof(real_t);
-  const int warp = dev.warp_size;
-  const int warps_per_block = config.threads_per_block / warp;
-
-  const auto col_base = [&](index_t v) {
-    return config.theta_base + static_cast<std::uint64_t>(v) * col_bytes;
-  };
-
-  for (std::size_t batch = 0; batch < cols.size();
-       batch += static_cast<std::size_t>(config.bin)) {
-    const std::size_t batch_end =
-        std::min(cols.size(), batch + static_cast<std::size_t>(config.bin));
-    const auto batch_cols = cols.subspan(batch, batch_end - batch);
-
-    if (config.coalesced) {
-      // Scheme (a): all threads cooperate on one column before the next.
-      // Each warp instruction covers warp_size consecutive floats.
-      for (const index_t v : batch_cols) {
-        const std::uint64_t base = col_base(v);
-        for (std::uint64_t off = 0; off < col_bytes;
-             off += static_cast<std::uint64_t>(warp) * sizeof(real_t)) {
-          const std::uint64_t end =
-              std::min(col_bytes,
-                       off + static_cast<std::uint64_t>(warp) * sizeof(real_t));
-          WarpInstruction inst;
-          add_range_lines(base + off, base + end, dev.cache_line_bytes,
-                          inst.lines);
-          std::sort(inst.lines.begin(), inst.lines.end());
-          inst.lines.erase(std::unique(inst.lines.begin(), inst.lines.end()),
-                           inst.lines.end());
-          stream.push_back(std::move(inst));
-        }
-      }
-    } else {
-      // Scheme (b): each thread owns one column (threads beyond the batch
-      // width share columns by splitting the element range). One instruction
-      // per element step touches up to warp_size distinct lines.
-      const int active_threads = config.threads_per_block;
-      const int segments =
-          std::max(1, active_threads / static_cast<int>(batch_cols.size()));
-      const auto seg_len =
-          (f + static_cast<std::uint64_t>(segments) - 1) /
-          static_cast<std::uint64_t>(segments);
-
-      // Element step e: thread t reads element (t / bin) * seg_len + e of
-      // column batch_cols[t % bin].
-      for (std::uint64_t e = 0; e < seg_len; ++e) {
-        for (int w = 0; w < warps_per_block; ++w) {
-          WarpInstruction inst;
-          for (int lane = 0; lane < warp; ++lane) {
-            const int t = w * warp + lane;
-            const auto ci = static_cast<std::size_t>(t) % batch_cols.size();
-            const auto seg = static_cast<std::uint64_t>(t) /
-                             batch_cols.size() % segments;
-            const std::uint64_t elem = seg * seg_len + e;
-            if (elem >= f) {
-              continue;  // tail of the last segment
-            }
-            const std::uint64_t addr =
-                col_base(batch_cols[ci]) + elem * sizeof(real_t);
-            inst.lines.push_back(addr / static_cast<std::uint64_t>(
-                                           dev.cache_line_bytes) *
-                                 static_cast<std::uint64_t>(
-                                     dev.cache_line_bytes));
-          }
-          if (inst.lines.empty()) {
-            continue;
-          }
-          std::sort(inst.lines.begin(), inst.lines.end());
-          inst.lines.erase(std::unique(inst.lines.begin(), inst.lines.end()),
-                           inst.lines.end());
-          stream.push_back(std::move(inst));
-        }
-      }
-    }
+  for (auto lines = gen.next(); !lines.empty(); lines = gen.next()) {
+    stream.push_back({{lines.begin(), lines.end()}});
   }
   return stream;
 }
@@ -110,15 +197,11 @@ TraceStats simulate_hermitian_load(
     const DeviceSpec& dev, const TraceConfig& config,
     std::span<const std::vector<index_t>> rows_per_block) {
   CUMF_EXPECTS(!rows_per_block.empty(), "need at least one resident block");
-  CUMF_EXPECTS(config.f > 0 && config.bin > 0, "f and BIN must be positive");
-  CUMF_EXPECTS(config.threads_per_block % dev.warp_size == 0,
-               "block must be whole warps");
 
-  // Build each resident block's instruction stream.
-  std::vector<std::vector<WarpInstruction>> streams;
-  streams.reserve(rows_per_block.size());
+  std::vector<LoadTraceGenerator> blocks;
+  blocks.reserve(rows_per_block.size());
   for (const auto& cols : rows_per_block) {
-    streams.push_back(hermitian_load_trace(dev, config, cols));
+    blocks.emplace_back(dev, config, cols);
   }
 
   // L2 is shared device-wide; give this SM its proportional share so that a
@@ -135,39 +218,24 @@ TraceStats simulate_hermitian_load(
   TraceStats stats;
   stats.rows_simulated = rows_per_block.size();
 
-  // Round-robin interleave across resident blocks (SM warp scheduler).
-  std::vector<std::size_t> cursor(streams.size(), 0);
+  // Round-robin interleave across resident blocks (SM warp scheduler): one
+  // instruction from every block that still has one, until none do.
+  std::vector<bool> done(blocks.size(), false);
   bool progressed = true;
   while (progressed) {
     progressed = false;
-    for (std::size_t b = 0; b < streams.size(); ++b) {
-      if (cursor[b] >= streams[b].size()) {
+    for (std::size_t b = 0; b < blocks.size(); ++b) {
+      if (done[b]) {
         continue;
       }
-      const WarpInstruction& inst = streams[b][cursor[b]++];
+      const std::span<const std::uint64_t> lines = blocks[b].next();
+      if (lines.empty()) {
+        done[b] = true;
+        continue;
+      }
       progressed = true;
       ++stats.warp_instructions;
-      MemLevel worst = MemLevel::L1;
-      for (const std::uint64_t line : inst.lines) {
-        const MemLevel level = hierarchy.access(line);
-        ++stats.line_accesses;
-        switch (level) {
-          case MemLevel::L1:
-            ++stats.l1_hits;
-            break;
-          case MemLevel::L2:
-            ++stats.l2_hits;
-            if (worst == MemLevel::L1) {
-              worst = MemLevel::L2;
-            }
-            break;
-          case MemLevel::Dram:
-            ++stats.dram_accesses;
-            worst = MemLevel::Dram;
-            break;
-        }
-      }
-      switch (worst) {
+      switch (hierarchy.access(lines)) {
         case MemLevel::L1:
           ++stats.inst_worst_l1;
           break;
@@ -180,6 +248,10 @@ TraceStats simulate_hermitian_load(
       }
     }
   }
+  stats.line_accesses = hierarchy.accesses();
+  stats.l1_hits = hierarchy.served_by(MemLevel::L1);
+  stats.l2_hits = hierarchy.served_by(MemLevel::L2);
+  stats.dram_accesses = hierarchy.served_by(MemLevel::Dram);
   return stats;
 }
 

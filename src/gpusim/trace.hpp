@@ -7,7 +7,9 @@
 // column so one warp instruction touches up to 32 distinct cache lines.
 // The traces of all thread-blocks resident on one SM are interleaved
 // round-robin (emulating the SM warp scheduler) and run through the simulated
-// L1→L2 hierarchy; the hit profile feeds the timing model.
+// L1→L2 hierarchy; the hit profile feeds the timing model. Each block's
+// instructions are generated on demand, one at a time, so the replay holds
+// one instruction per block, never a whole stream.
 #pragma once
 
 #include <cstdint>
@@ -73,7 +75,9 @@ struct WarpInstruction {
 };
 
 /// Builds the load-phase instruction stream of one thread-block staging the
-/// feature columns `cols` under `config`'s scheme.
+/// feature columns `cols` under `config`'s scheme — the instructions
+/// simulate_hermitian_load streams, materialized (for the coalescing lint
+/// and cuverify). The device's cache line must be a power of two.
 std::vector<WarpInstruction> hermitian_load_trace(
     const DeviceSpec& dev, const TraceConfig& config,
     std::span<const index_t> cols);

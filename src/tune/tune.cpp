@@ -75,10 +75,12 @@ struct ProbeAdjust {
   double cg_fallback_frac = 0;     ///< systems rerouted to the exact path
 };
 
-/// Memoized cost-model evaluations for one (request, dataset) pair. The
-/// trace-driven update_phase_times is the expensive part of a score and
-/// depends only on (tile, bin, solver, fs, gpus), so a few hundred cache
-/// entries cover the few thousand grid points.
+/// Memoized cost-model evaluations for one (request, dataset) pair:
+/// update_phase_times depends only on (tile, bin, solver, fs, gpus), so a
+/// few hundred cache entries cover the few thousand grid points. Its
+/// expensive part, the load-phase trace, reads only tile and BIN (and the
+/// shape), and kernel_stats memoizes it on those, so candidates that differ
+/// in solver or fs share one simulation.
 class ModelContext {
  public:
   ModelContext(const TuneRequest& req, const CsrMatrix& csr)

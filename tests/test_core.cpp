@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -14,6 +15,7 @@
 #include "analysis/faultinject.hpp"
 #include "common/check.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "core/als.hpp"
 #include "core/hermitian.hpp"
 #include "core/implicit_als.hpp"
@@ -829,7 +831,136 @@ TEST(MultiGpu, TimelineChargesInterconnectAndOverlap) {
   EXPECT_LT(report.comm_fraction, 1.0);
 }
 
+TEST(MultiGpu, PooledTimelineMatchesSerialUnderOneTwoThreeDevices) {
+  const auto data = small_dataset(5000, 61);
+  AlsOptions options;
+  options.f = 16;
+  // The engine's canonical views, rebuilt here to model them serially.
+  RatingsCoo canonical = data.ratings;
+  canonical.sort_and_dedup();
+  const CsrMatrix r = CsrMatrix::from_coo(canonical);
+  const CsrMatrix rt = r.transposed();
+  const auto dev = gpusim::DeviceSpec::pascal_p100();
+  const auto link = gpusim::LinkSpec::nvlink();
+  const AlsKernelConfig config{};
+  for (const int gpus : {1, 2, 3}) {
+    const MultiGpuAls engine(data.ratings, options, gpus);
+    const std::vector<RowRange> x_shards = nnz_balanced_shards(r, gpus);
+    ASSERT_EQ(engine.user_shards().size(), x_shards.size());
+    for (std::size_t d = 0; d < x_shards.size(); ++d) {
+      ASSERT_EQ(engine.user_shards()[d].begin, x_shards[d].begin);
+      ASSERT_EQ(engine.user_shards()[d].end, x_shards[d].end);
+    }
+    const MultiGpuTimeline serial{
+        multi_gpu_half_sweep(dev, config, link, r, x_shards, true),
+        multi_gpu_half_sweep(dev, config, link, rt,
+                             nnz_balanced_shards(rt, gpus), true)};
+    const MultiGpuTimeline pooled = engine.epoch_timeline(dev, config, link);
+    EXPECT_TRUE(pooled == serial) << gpus << " devices";
+    const MultiGpuScaling report = engine.scaling_report(dev, config, link);
+    EXPECT_TRUE(report.timeline == serial) << gpus << " devices";
+    EXPECT_EQ(report.total_s, serial.total_s());
+    EXPECT_EQ(report.single_gpu_s,
+              update_phase_times(dev, {300, 80, static_cast<double>(r.nnz())},
+                                 config)
+                      .total_seconds() +
+                  update_phase_times(
+                      dev, {80, 300, static_cast<double>(r.nnz())}, config)
+                      .total_seconds());
+  }
+}
+
 // ---------- kernel cost-model bridge ----------
+
+/// Every TraceStats field: warp instructions, line accesses, L1/L2/DRAM
+/// hits, worst-level instruction counts, rows.
+std::array<std::uint64_t, 9> trace_fields(const gpusim::TraceStats& s) {
+  return {s.warp_instructions, s.line_accesses,   s.l1_hits,
+          s.l2_hits,           s.dram_accesses,   s.inst_worst_l1,
+          s.inst_worst_l2,     s.inst_worst_dram, s.rows_simulated};
+}
+
+TEST(KernelStats, LoadTraceMatchesGoldenStatsOfTheMaterializedReplay) {
+  // TraceStats the materialized replay (tests/trace_oracle.hpp) produced
+  // for the synthetic rows of these shapes. Each is read twice — the
+  // second read comes from the memo.
+  const auto expect_stats = [](const gpusim::TraceStats& s,
+                               const std::array<std::uint64_t, 9>& want) {
+    EXPECT_EQ(trace_fields(s), want);
+  };
+  AlsKernelConfig config;  // f=100, tile=10, BIN=32, nonCoal-L1
+  const auto p100 = gpusim::DeviceSpec::pascal_p100();
+  const auto titan = gpusim::DeviceSpec::maxwell_titan_x();
+  // A hugewiki-ooc column tile: 12 items over 10000 users.
+  const UpdateShape tile{12, 10000, 35714};
+  // The netflix-incore verdict shapes (6000 x 250, 10% held out).
+  const UpdateShape x{6000, 250, 270000};
+  const UpdateShape t{250, 6000, 270000};
+  for (int read = 0; read < 2; ++read) {
+    expect_stats(hermitian_load_stats(p100, tile, config),
+                 {93000, 2972000, 142141, 2657570, 172289, 0, 55111, 37889,
+                  5});
+    expect_stats(hermitian_load_stats(titan, x, config),
+                 {1800, 54350, 50442, 3199, 709, 568, 1038, 194, 6});
+    expect_stats(hermitian_load_stats(titan, t, config),
+                 {40500, 1291488, 591468, 650882, 49138, 0, 33029, 7471, 6});
+  }
+  config.load_scheme = LoadScheme::Coalesced;
+  expect_stats(hermitian_load_stats(titan, x, config),
+               {2160, 3564, 2406, 449, 709, 1186, 366, 608, 6});
+  config.load_scheme = LoadScheme::NonCoalescedNoL1;
+  expect_stats(hermitian_load_stats(titan, x, config),
+               {1800, 54350, 0, 53641, 709, 0, 1606, 194, 6});
+}
+
+TEST(KernelStats, LoadTraceMemoKeysOnEverythingTheTraceReads) {
+  const auto p100 = gpusim::DeviceSpec::pascal_p100();
+  const AlsKernelConfig config;
+  const UpdateShape shape{100, 250, 5000};
+  const auto base = trace_fields(hermitian_load_stats(p100, shape, config));
+  // The same average degree ⌊nnz/rows⌋ and fixed side: the same trace.
+  EXPECT_EQ(trace_fields(hermitian_load_stats(p100, {200, 250, 10099}, config)),
+            base);
+  // Anything else the trace reads gets its own entry.
+  EXPECT_NE(trace_fields(hermitian_load_stats(p100, {100, 60000, 5000}, config)),
+            base);
+  EXPECT_NE(trace_fields(hermitian_load_stats(p100, {100, 250, 7000}, config)),
+            base);
+  EXPECT_NE(trace_fields(hermitian_load_stats(
+                gpusim::DeviceSpec::maxwell_titan_x(), shape, config)),
+            base);
+  AlsKernelConfig other = config;
+  other.bin = 16;
+  EXPECT_NE(trace_fields(hermitian_load_stats(p100, shape, other)), base);
+  other = config;
+  other.load_scheme = LoadScheme::NonCoalescedNoL1;
+  EXPECT_NE(trace_fields(hermitian_load_stats(p100, shape, other)), base);
+  other = config;
+  other.f = 40;
+  EXPECT_NE(trace_fields(hermitian_load_stats(p100, shape, other)), base);
+}
+
+TEST(KernelStats, UpdateSecondsIsIdenticalOnAnyPoolSize) {
+  const auto dev = gpusim::DeviceSpec::pascal_p100();
+  const AlsKernelConfig config{};
+  const std::vector<UpdateShape> shapes{
+      {500, 120, 9000}, {12, 10000, 30000}, {7, 900, 4000}, {500, 120, 9001}};
+  const std::vector<double> serial = update_seconds(dev, shapes, config);
+  ASSERT_EQ(serial.size(), shapes.size());
+  for (std::size_t i = 0; i < shapes.size(); ++i) {
+    EXPECT_EQ(serial[i],
+              update_phase_times(dev, shapes[i], config).total_seconds());
+  }
+  for (const std::size_t threads : {1u, 2u, 3u}) {
+    ThreadPool pool(threads);
+    EXPECT_EQ(update_seconds(dev, shapes, config, &pool), serial);
+  }
+  // A failing shape surfaces on the caller, from the pool as well.
+  const std::vector<UpdateShape> bad{{10, 10, 100}, {0, 10, 100}};
+  ThreadPool pool(2);
+  EXPECT_THROW(update_seconds(dev, bad, config, &pool), CheckError);
+  EXPECT_THROW(update_seconds(dev, bad, config), CheckError);
+}
 
 TEST(KernelStats, PaperOccupancyThroughConfig) {
   AlsKernelConfig config;  // f=100, tile=10, bin=32

@@ -2,6 +2,7 @@
 // paper's worked example), access traces, cost model, interconnect, clock.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "common/check.hpp"
@@ -13,6 +14,7 @@
 #include "gpusim/occupancy.hpp"
 #include "gpusim/sim_clock.hpp"
 #include "gpusim/trace.hpp"
+#include "trace_oracle.hpp"
 
 namespace cumf::gpusim {
 namespace {
@@ -402,6 +404,108 @@ TEST(CostModel, HostAlsEpochScalesWithF) {
   const double f50 = host_als_epoch_seconds(host, 1e8, 5e5, 2e4, 50);
   const double f100 = host_als_epoch_seconds(host, 1e8, 5e5, 2e4, 100);
   EXPECT_GT(f100, 3.5 * f50);  // Nz·f² term dominates → ~4x
+}
+
+// ---------- streamed replay vs the materialized oracle ----------
+
+void expect_same_stats(const TraceStats& got, const TraceStats& want,
+                       const std::string& where) {
+  EXPECT_EQ(got.warp_instructions, want.warp_instructions) << where;
+  EXPECT_EQ(got.line_accesses, want.line_accesses) << where;
+  EXPECT_EQ(got.l1_hits, want.l1_hits) << where;
+  EXPECT_EQ(got.l2_hits, want.l2_hits) << where;
+  EXPECT_EQ(got.dram_accesses, want.dram_accesses) << where;
+  EXPECT_EQ(got.inst_worst_l1, want.inst_worst_l1) << where;
+  EXPECT_EQ(got.inst_worst_l2, want.inst_worst_l2) << where;
+  EXPECT_EQ(got.inst_worst_dram, want.inst_worst_dram) << where;
+  EXPECT_EQ(got.rows_simulated, want.rows_simulated) << where;
+}
+
+TEST(TraceOracle, StreamedReplayMatchesMaterializedOnTheGrid) {
+  const struct {
+    int f;
+    int tile;
+  } dims[] = {{8, 8}, {40, 10}, {100, 10}};
+  const struct {
+    const char* name;
+    bool coalesced;
+    bool l1_enabled;
+  } schemes[] = {{"coal", true, true},
+                 {"nonCoal-L1", false, true},
+                 {"nonCoal-noL1", false, false}};
+  for (const DeviceSpec& dev :
+       {DeviceSpec::kepler_k40(), DeviceSpec::maxwell_titan_x(),
+        DeviceSpec::pascal_p100(), DeviceSpec::volta_v100()}) {
+    for (const auto& scheme : schemes) {
+      for (const int bin : {1, 7, 32, 64}) {
+        for (const auto& dim : dims) {
+          TraceConfig config;
+          config.f = dim.f;
+          config.bin = bin;
+          config.threads_per_block =
+              hermitian_threads_per_block(dim.f, dim.tile, dev.warp_size);
+          config.coalesced = scheme.coalesced;
+          config.l1_enabled = scheme.l1_enabled;
+          // A partial last batch, a block of heavily repeated columns
+          // (duplicates inside one batch), an empty block, and a block
+          // shorter than one batch.
+          auto rows = make_rows(1, 2 * bin + 5, 700,
+                                static_cast<std::uint64_t>(bin * dim.f));
+          std::vector<index_t> repeated;
+          for (int i = 0; i < 3 * bin / 2 + 1; ++i) {
+            repeated.push_back(static_cast<index_t>(i * 7 % 5));
+          }
+          rows.push_back(repeated);
+          rows.emplace_back();
+          rows.push_back({3, 650, 3});
+          const std::string where = dev.name + " " + scheme.name +
+                                    " bin=" + std::to_string(bin) +
+                                    " f=" + std::to_string(dim.f);
+          expect_same_stats(simulate_hermitian_load(dev, config, rows),
+                            oracle::simulate_load(dev, config, rows), where);
+          for (std::size_t b = 0; b < rows.size(); ++b) {
+            const auto streamed = hermitian_load_trace(dev, config, rows[b]);
+            const auto reference = oracle::load_trace(dev, config, rows[b]);
+            ASSERT_EQ(streamed.size(), reference.size())
+                << where << " block " << b;
+            for (std::size_t i = 0; i < streamed.size(); ++i) {
+              ASSERT_EQ(streamed[i].lines, reference[i].lines)
+                  << where << " block " << b << " instruction " << i;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(CacheOracle, MatchesReferenceLruOnRandomStreams) {
+  constexpr int kLine = 128;
+  for (const std::int64_t sets : {1, 3, 24, 36, 37}) {
+    for (const int ways : {1, 3, 8, 16}) {
+      const std::int64_t size = sets * ways * kLine;
+      CacheLevel cache({size, kLine, ways});
+      oracle::LruCache reference(size, kLine, ways);
+      ASSERT_EQ(cache.sets(), sets);
+      // Working sets a little larger than the cache, around line numbers
+      // below, straddling and far above 2^32 (where the set index falls
+      // back from the direct remainder to a division).
+      const std::uint64_t window = static_cast<std::uint64_t>(size / kLine) * 2;
+      const std::uint64_t bases[] = {0, (std::uint64_t{1} << 32) - window / 2,
+                                     std::uint64_t{1} << 32,
+                                     std::uint64_t{1} << 50};
+      Rng rng(static_cast<std::uint64_t>(sets * 100 + ways));
+      for (int i = 0; i < 20000; ++i) {
+        const std::uint64_t line =
+            bases[rng.uniform_index(4)] + rng.uniform_index(window);
+        const std::uint64_t address = line * kLine;
+        ASSERT_EQ(cache.access(address), reference.access(address))
+            << "sets=" << sets << " ways=" << ways << " access " << i;
+      }
+      EXPECT_EQ(cache.hits(), reference.hits());
+      EXPECT_EQ(cache.misses(), reference.misses());
+    }
+  }
 }
 
 TEST(Trace, EmptyRowsProduceNoInstructions) {

@@ -485,5 +485,27 @@ TEST(OocEngine, EpochStatsAndTimelineArePopulated) {
   EXPECT_DOUBLE_EQ(flat.pipelined_s, flat.serial_s);
 }
 
+TEST(OocEngine, PooledTimelineMatchesSerialUnderOneTwoThreeWorkers) {
+  const std::string dir = temp_dir("ooc_timeline_pool");
+  const ShardMeta meta = write_shards(dir, tiny_ratings(), tiny_build());
+  const auto dev = gpusim::DeviceSpec::pascal_p100();
+  const auto link = gpusim::LinkSpec::pcie3();
+  const AlsKernelConfig config{};
+  for (const bool overlap : {true, false}) {
+    const OocTimeline serial =
+        ooc_epoch_timeline(dev, config, link, meta, overlap);
+    for (const int workers : {1, 2, 3}) {
+      AlsOptions options = tiny_options();
+      options.workers = workers;
+      OocOptions ooc;
+      ooc.host_mem_bytes = std::uint64_t{1} << 30;
+      const OocAlsEngine engine(dir, options, ooc);
+      EXPECT_TRUE(engine.epoch_timeline(dev, config, link, overlap) ==
+                  serial)
+          << workers << " workers, overlap " << overlap;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace cumf

@@ -232,6 +232,9 @@ struct ExplicitConfig {
 /// record.
 struct EngineModel {
   std::string device;  ///< the device the timeline is modeled on
+  /// Host seconds spent computing the timeline: a pipeline stage of its
+  /// own, between building the engine and epoch 1.
+  double host_s = 0.0;
   MultiGpuScaling scaling;  ///< set when engine.gpus() > 0
   /// Per-device modeled compute (update-X + update-Θ shards summed): the
   /// raggedness here is the nnz balance the sharding achieved.
@@ -263,6 +266,7 @@ struct RunSummary {
     double pct = 0;  ///< percent of the engine's epoch wall
   };
   std::vector<EnginePhase> engine_phases;
+  double timeline_host_s = 0;  ///< EngineModel::host_s (0 in core)
 };
 
 /// The explicit-ALS epoch loop: resume, telemetry, checkpointing and
@@ -396,6 +400,9 @@ int run_explicit(AlsEngine& engine, const EngineModel& modeled,
     mdl.set("solve_flops", cx.solve_compute);
     mdl.set("solve_bytes", cx.solve_memory);
     header.set_raw("model", mdl.str());
+    if (multi_gpu || streamed != nullptr) {
+      header.set("timeline_host_s", modeled.host_s);
+    }
     if (multi_gpu) {
       header.set("gpus", engine.gpus());
       header.set("link", cfg.link_name);
@@ -722,6 +729,7 @@ int run_explicit(AlsEngine& engine, const EngineModel& modeled,
   }
   summary.roof_device = dev.name;
   summary.verdicts = std::move(last_verdicts);
+  summary.timeline_host_s = modeled.host_s;
   // Engine-level phases: measured streaming seconds, or the modeled
   // multi-device compute/comm split (the CLI never builds both).
   const OocEpochStats& os = engine.ooc_stats_last_epoch();
@@ -954,6 +962,12 @@ int cmd_train(int argc, char** argv) {
     std::fprintf(stderr,
                  "cumf_train: checkpointing is only supported for the "
                  "explicit ALS path\n");
+    return 2;
+  }
+  if (!metrics_path.empty() && implicit_alpha) {
+    std::fprintf(stderr,
+                 "cumf_train: --metrics is only supported for the explicit "
+                 "ALS path\n");
     return 2;
   }
   if (checkpoint_every < 1) {
@@ -1249,7 +1263,8 @@ int cmd_train(int argc, char** argv) {
   Stopwatch sw;
   if (implicit_alpha) {
     // Implicit path: the mllib facade drives ImplicitAlsEngine; per-epoch
-    // telemetry is an explicit-path feature (spans still record).
+    // telemetry is an explicit-path feature (rejected above; spans still
+    // record).
     auto als = mllib::Als()
                    .set_rank(f)
                    .set_reg_param(lambda)
@@ -1307,8 +1322,13 @@ int cmd_train(int argc, char** argv) {
       }
       // Per-tile transfers over the chosen link pipelined against per-tile
       // compute.
-      modeled.ooc = engine.epoch_timeline(model_dev, kc, link,
-                                          engine.overlap_active());
+      {
+        CUMF_PROF_SCOPE("timeline_model", "gpusim");
+        Stopwatch model_sw;
+        modeled.ooc = engine.epoch_timeline(model_dev, kc, link,
+                                            engine.overlap_active());
+        modeled.host_s = model_sw.seconds();
+      }
       std::printf(
           "out-of-core model (%zu+%zu tiles over %s on %s): epoch %.3f s "
           "(serial %.3f s, overlap gain %.2fx)%s\n",
@@ -1322,9 +1342,13 @@ int cmd_train(int argc, char** argv) {
       MultiGpuAls engine(split.train, options, gpus);
       // Cost-model compute per shard plus the ring all-gather over the
       // chosen link, with pipelined overlap.
-      modeled.scaling = engine.scaling_report(model_dev, kc, link);
-      const MultiGpuTimeline timeline =
-          engine.epoch_timeline(model_dev, kc, link);
+      {
+        CUMF_PROF_SCOPE("timeline_model", "gpusim");
+        Stopwatch model_sw;
+        modeled.scaling = engine.scaling_report(model_dev, kc, link);
+        modeled.host_s = model_sw.seconds();
+      }
+      const MultiGpuTimeline& timeline = modeled.scaling.timeline;
       modeled.device_compute_s = timeline.update_x.device_compute_s;
       for (std::size_t d = 0; d < modeled.device_compute_s.size(); ++d) {
         modeled.device_compute_s[d] +=
@@ -1394,6 +1418,10 @@ int cmd_train(int argc, char** argv) {
       const double mb = static_cast<double>(load_bytes) / 1e6;
       std::printf("ratings read: %.1f MB in %.3f s (%.1f MB/s)\n", mb,
                   load_seconds, mb / load_seconds);
+    }
+    if (summary.timeline_host_s > 0) {
+      std::printf("timeline model: %.3f s of host time before epoch 1\n",
+                  summary.timeline_host_s);
     }
     if (!summary.engine_phases.empty()) {
       std::printf("\n%-24s %12s %9s\n", "engine phase", "seconds",

@@ -16,7 +16,9 @@ Modes:
   trace_report.py --check FILE     validate the schema; exit 1 on violations
                                    (trace: required keys, non-negative ts/dur,
                                    strict per-tid span nesting; telemetry:
-                                   header record, per-epoch required keys;
+                                   header record — with timeline_host_s on
+                                   multi-GPU and out-of-core runs —,
+                                   per-epoch required keys;
                                    schema 2 additionally requires one cuscope
                                    bottleneck record per epoch with a valid
                                    bound/phase enum and pct_of_roof in [0,1])
@@ -185,6 +187,13 @@ def check_metrics(records):
                       "(got type=%r)" % header.get("type"))
     elif schema not in (1, 2):
         errors.append("unknown schema version %r" % schema)
+    elif "gpus" in header or header.get("mode") == "ooc":
+        # The modeled multi-GPU / out-of-core timeline is its own pipeline
+        # stage; its host seconds belong in the header.
+        stage = header.get("timeline_host_s")
+        if not isinstance(stage, (int, float)) or stage < 0:
+            errors.append("header: timeline_host_s missing or negative "
+                          "(required with gpus or mode=ooc)")
     epoch_numbers = []
     bottleneck_phases = {}  # epoch -> [phase, ...]
     prev_seconds = None
