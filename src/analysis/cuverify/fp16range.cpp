@@ -33,9 +33,10 @@ Fp16RangeResult analyze_fp16_range(const CsrMatrix& r,
 
   out.diag_floor = out.bounds.a_diag_min;
   out.overflow_risk = out.a_eq_max > half_max;
-  // fp16_pack_ok's flush test: a nonzero source diagonal rounding to
-  // half-zero. The diagonal floor is λ·n_min; flag when it is not safely
-  // above the subnormal threshold (where half rounds small values to 0).
+  // The solver's flush test (fp16_diagonal_flushed): a nonzero source
+  // diagonal rounding to half-zero. The diagonal floor is λ·n_min; flag
+  // when it is not safely above the subnormal threshold (where half rounds
+  // small values to 0).
   out.flush_risk =
       out.bounds.min_nnz > 0 && out.diag_floor < half_denorm;
   out.predicted_fp16_safe = !out.overflow_risk && !out.flush_risk;

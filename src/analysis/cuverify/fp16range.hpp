@@ -2,10 +2,12 @@
 // solver's half-precision A pack can overflow or flush, before any epoch
 // runs (ISSUE pass 4).
 //
-// The dynamic ground truth is SystemSolver::fp16_pack_ok (core/solver.cpp):
-// a pack fails when some |A_ij| overflows past half::max() = 65504, or a
-// nonzero diagonal flushes to half-zero; each failure costs a discarded
-// pack plus an FP32 re-solve and increments SolveStats::fp16_fallbacks.
+// The dynamic ground truth is the CG-FP16 pack check in SystemSolver::solve
+// (core/solver.cpp): round_through_half_n reports a finite |A_ij| that
+// rounds past half::max() = 65504 to inf, and fp16_diagonal_flushed a
+// nonzero diagonal that flushes to half-zero; each failure costs a
+// discarded pack plus an FP32 re-solve and increments
+// SolveStats::fp16_fallbacks.
 //
 // Interval propagation, from dataset bounds through the hermitian dataflow
 // (core::hermitian_value_bounds) into the CG pack:

@@ -113,6 +113,40 @@ void accumulate_lower(real_t* a, std::size_t f, const real_t* staged,
   }
 }
 
+/// Copies the strictly-lower triangle of A onto the upper one. The SIMD
+/// path moves every 8×8 block below the diagonal through a register
+/// transpose (8 row loads and 8 row stores instead of 64 strided stores);
+/// the diagonal blocks, the ragged rows past the last full block and the
+/// whole scalar path copy element by element. Either way a copy, so exact.
+void mirror_lower(real_t* a, std::size_t f, bool use_simd) {
+  constexpr std::size_t kB = simd::vf8::kLanes;
+  const std::size_t full = use_simd ? f - f % kB : 0;
+  for (std::size_t i0 = 0; i0 < full; i0 += kB) {
+    for (std::size_t j0 = 0; j0 < i0; j0 += kB) {
+      simd::vf8 block[kB];
+      CUMF_UNROLL
+      for (std::size_t r = 0; r < kB; ++r) {
+        block[r] = simd::vf8::load(a + (i0 + r) * f + j0);
+      }
+      simd::transpose(block);
+      CUMF_UNROLL
+      for (std::size_t r = 0; r < kB; ++r) {
+        block[r].store(a + (j0 + r) * f + i0);
+      }
+    }
+    for (std::size_t i = i0 + 1; i < i0 + kB; ++i) {
+      for (std::size_t j = i0; j < i; ++j) {
+        a[j * f + i] = a[i * f + j];
+      }
+    }
+  }
+  for (std::size_t i = full; i < f; ++i) {
+    for (std::size_t j = 0; j < i; ++j) {
+      a[j * f + i] = a[i * f + j];
+    }
+  }
+}
+
 }  // namespace
 
 void HermitianWorkspace::prepare(std::size_t f, const HermitianParams& params) {
@@ -206,11 +240,7 @@ void get_hermitian_row(const CsrMatrix& r, const Matrix& theta, index_t u,
 
   // Mirror the strictly-lower triangle to the upper one (block30' in
   // Fig. 2) — done at flush time on the GPU, done here after accumulation.
-  for (std::size_t i = 0; i < f; ++i) {
-    for (std::size_t j = 0; j < i; ++j) {
-      a_out[j * f + i] = a_out[i * f + j];
-    }
-  }
+  mirror_lower(a_out.data(), f, use_simd);
 
   // λ·n_u ridge on the diagonal (eq. (2)).
   const real_t ridge = lambda * static_cast<real_t>(cols.size());

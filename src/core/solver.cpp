@@ -151,26 +151,18 @@ bool SystemSolver::solve_cg(std::span<const real_t> a,
   return solve_exact(a_exact, b, x, /*via_cholesky=*/false);
 }
 
-bool SystemSolver::fp16_pack_ok(std::span<const real_t> a) const noexcept {
-  // Checks the rounded copy in scratch_fp32_: a binary16 value is infinite
-  // (or zero) exactly when its widened float is, so this accepts and
-  // rejects the same systems as checking the half pack itself.
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    // half max is 65504: a heavy row's hermitian diagonal (which grows with
-    // nnz_u) can exceed it even though the FP32 value is fine.
-    if (std::isinf(scratch_fp32_[i]) && std::isfinite(a[i])) {
-      return false;
-    }
-  }
+bool SystemSolver::fp16_diagonal_flushed(
+    std::span<const real_t> a) const noexcept {
   for (std::size_t d = 0; d < f_; ++d) {
     const std::size_t i = d * f_ + d;
     // A diagonal flushed to zero (|a| < 2^-25) silently destroys the ridge
-    // that keeps A SPD.
+    // that keeps A SPD. (A binary16 value is zero exactly when its widened
+    // float is, so this reads the rounded copy in scratch_fp32_.)
     if (a[i] != 0.0f && scratch_fp32_[i] == 0.0f) {
-      return false;
+      return true;
     }
   }
-  return true;
+  return false;
 }
 
 bool SystemSolver::solve(std::span<const real_t> a,
@@ -194,11 +186,14 @@ bool SystemSolver::solve(std::span<const real_t> a,
       // binary16 once, into FP32 scratch, and runs the FP32 CG on it:
       // widening a half is exact, so every iterate equals CG over the half
       // pack, without an unpack per matvec. The model still charges the
-      // matvecs half-width traffic. b and x stay FP32.
-      round_through_half_n(a.data(), scratch_fp32_.data(), a.size(),
-                           options_.path);
+      // matvecs half-width traffic. b and x stay FP32. The round reports
+      // in the same pass whether a finite element overflowed to ±inf (half
+      // max is 65504: a heavy row's hermitian diagonal, which grows with
+      // nnz_u, can exceed it even though the FP32 value is fine).
+      const bool overflow = round_through_half_n(
+          a.data(), scratch_fp32_.data(), a.size(), options_.path);
       stats_.fp16_converted += a.size();
-      if (!fp16_pack_ok(a)) {
+      if (overflow || fp16_diagonal_flushed(a)) {
         // Overflow/underflow in the pack: retry this system with A kept in
         // FP32 (the paper's Solution 3 path) rather than solving a wrong
         // system fast.

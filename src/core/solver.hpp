@@ -153,10 +153,10 @@ class SystemSolver {
                 std::span<const real_t> b, std::span<real_t> x,
                 bool preconditioned);
 
-  /// True when every element of A rounded through binary16 (held in
-  /// scratch_fp32_) faithfully represents its FP32 source: no finite→inf
-  /// overflow, no nonzero diagonal flushed to zero.
-  bool fp16_pack_ok(std::span<const real_t> a) const noexcept;
+  /// True when a nonzero diagonal of A rounded through binary16 (held in
+  /// scratch_fp32_) flushed to zero. With round_through_half_n's overflow
+  /// verdict, the CG-FP16 pack check.
+  bool fp16_diagonal_flushed(std::span<const real_t> a) const noexcept;
 
   std::size_t f_;
   SolverOptions options_;

@@ -6,8 +6,9 @@
 // fixed-width value types — vf8 (8 × float) for elementwise work, vf16
 // (16 × float) for the register-resident get_hermitian accumulators, vd8
 // (8 × double) for reduction accumulators, vu8 (8 × uint32) for the bit
-// manipulation in the FP16 unpack — with a scalar-array fallback selected at
-// configure time (CMake option CUMF_SIMD, which defines CUMF_SIMD_ENABLED).
+// manipulation in the FP16 conversions, plus an 8×8 vf8 transpose — with a
+// scalar-array fallback selected at configure time (CMake option CUMF_SIMD,
+// which defines CUMF_SIMD_ENABLED).
 //
 // Numerical contract, relied on by the differential tests:
 //  - elementwise ops (add/mul/select/convert) are bitwise identical to the
@@ -312,10 +313,18 @@ struct vu8 {
   }
   /// Widening load of 8 consecutive uint16 values.
   static vu8 load_u16(const std::uint16_t* p) noexcept {
+#if defined(__AVX2__)
+    // One vpmovzxwd: GCC 12 lowers the generic convertvector to two
+    // half-width ones plus a shift and an insert.
+    __m128i narrow;
+    std::memcpy(&narrow, p, sizeof(narrow));
+    return {std::bit_cast<u32x8>(_mm256_cvtepu16_epi32(narrow))};
+#else
     using u16x8 = std::uint16_t __attribute__((vector_size(16)));
     u16x8 narrow;
     std::memcpy(&narrow, p, sizeof(narrow));
     return {__builtin_convertvector(narrow, u32x8)};
+#endif
   }
   /// Narrowing store of the low 16 bits of each lane.
   void store_u16(std::uint16_t* p) const noexcept {
@@ -349,7 +358,48 @@ struct vu8 {
 
   vf8 as_float() const noexcept { return {std::bit_cast<f32x8>(v)}; }
   static vu8 from_float(vf8 f) noexcept { return {std::bit_cast<u32x8>(f.v)}; }
+
+  /// True when any lane is nonzero (the reduction of an accumulated mask).
+  bool any() const noexcept {
+    std::uint32_t r = 0;
+    for (std::size_t i = 0; i < kLanes; ++i) r |= v[i];
+    return r != 0;
+  }
 };
+
+/// Transposes the 8×8 block held in `rows`: lane c of row r moves to lane r
+/// of row c. Pure data movement, so exact; get_hermitian's mirror copies
+/// the lower triangle of A onto the upper one a block at a time through it.
+/// Three shuffle stages (unpack pairs of rows, then pairs of pairs within
+/// each 128-bit half, then swap the halves), 24 shuffles in all.
+inline void transpose(vf8 (&rows)[8]) noexcept {
+  f32x8 t[8];
+  CUMF_UNROLL
+  for (std::size_t k = 0; k < 8; k += 2) {  // (a0 b0 a1 b1 | a4 b4 a5 b5)
+    t[k] = __builtin_shufflevector(rows[k].v, rows[k + 1].v, 0, 8, 1, 9, 4,
+                                   12, 5, 13);
+    t[k + 1] = __builtin_shufflevector(rows[k].v, rows[k + 1].v, 2, 10, 3,
+                                       11, 6, 14, 7, 15);
+  }
+  f32x8 q[8];
+  CUMF_UNROLL
+  for (std::size_t k = 0; k < 8; k += 4) {  // (a0 b0 c0 d0 | a4 b4 c4 d4)
+    q[k] = __builtin_shufflevector(t[k], t[k + 2], 0, 1, 8, 9, 4, 5, 12, 13);
+    q[k + 1] =
+        __builtin_shufflevector(t[k], t[k + 2], 2, 3, 10, 11, 6, 7, 14, 15);
+    q[k + 2] =
+        __builtin_shufflevector(t[k + 1], t[k + 3], 0, 1, 8, 9, 4, 5, 12, 13);
+    q[k + 3] = __builtin_shufflevector(t[k + 1], t[k + 3], 2, 3, 10, 11, 6,
+                                       7, 14, 15);
+  }
+  CUMF_UNROLL
+  for (std::size_t c = 0; c < 4; ++c) {
+    rows[c].v =
+        __builtin_shufflevector(q[c], q[c + 4], 0, 1, 2, 3, 8, 9, 10, 11);
+    rows[c + 4].v =
+        __builtin_shufflevector(q[c], q[c + 4], 4, 5, 6, 7, 12, 13, 14, 15);
+  }
+}
 
 #else  // scalar-array fallback: same API, element loops
 
@@ -567,7 +617,23 @@ struct vu8 {
     }
     return r;
   }
+
+  bool any() const noexcept {
+    std::uint32_t r = 0;
+    for (std::size_t i = 0; i < kLanes; ++i) r |= v[i];
+    return r != 0;
+  }
 };
+
+inline void transpose(vf8 (&rows)[8]) noexcept {
+  for (std::size_t r = 0; r < 8; ++r) {
+    for (std::size_t c = r + 1; c < 8; ++c) {
+      const float t = rows[r].v[c];
+      rows[r].v[c] = rows[c].v[r];
+      rows[c].v[r] = t;
+    }
+  }
+}
 
 #endif  // CUMF_SIMD_VEXT
 

@@ -331,6 +331,56 @@ TEST(SystemSolver, CgFp16MatchesCgOverTheHalfPackBitForBit) {
 }
 
 TEST(SystemSolver, CgFp16PackCheckKeepsItsVerdicts) {
+  // The overflow half of the check is fused into the vector round, so place
+  // each probe value at the first and last lane of the vector body, at the
+  // first and last lane of its last vector, and in the scalar tail: f = 2
+  // is all tail, f = 7 a body plus a one-element tail, f = 16, 20 and 100
+  // all body.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  struct Probe {
+    float value;
+    std::uint64_t fallbacks;
+  };
+  // 65520 is the tie between half max (65504) and inf; it rounds to inf.
+  // 65519 rounds to 65504. An element that is already infinite or NaN did
+  // not overflow in the pack; the CG breakdown ladder handles it instead.
+  const Probe probes[] = {{65520.0f, 1}, {-65520.0f, 1}, {1e30f, 1},
+                          {65519.0f, 0}, {-65519.0f, 0}, {inf, 0},
+                          {-inf, 0},     {nan, 0}};
+  for (const std::size_t f : {2ul, 7ul, 16ul, 20ul, 100ul}) {
+    const std::size_t n = f * f;
+    const std::size_t body = n - n % 8;
+    std::vector<std::size_t> where = {0, n - 1};
+    if (body >= 8) {
+      where.insert(where.end(), {7, body - 8, body - 1});
+    }
+    if (body > 0 && body < n) {
+      where.push_back(body);
+    }
+    const auto base = random_spd(f, 7 * f);
+    const std::vector<real_t> b(f, real_t{1});
+    for (const auto path :
+         {simd::KernelPath::scalar, simd::KernelPath::simd}) {
+      SolverOptions options;
+      options.kind = SolverKind::CgFp16;
+      options.cg_fs = 8;
+      options.path = path;
+      for (const std::size_t at : where) {
+        for (const Probe& p : probes) {
+          SystemSolver solver(f, options);
+          auto a = base;
+          a[at] = p.value;
+          std::vector<real_t> x(f, real_t{0});
+          (void)solver.solve(a, b, x);
+          EXPECT_EQ(solver.stats().fp16_fallbacks, p.fallbacks)
+              << "f=" << f << " path=" << to_string(path) << " at=" << at
+              << " value=" << p.value;
+        }
+      }
+    }
+  }
+
   SolverOptions options;
   options.kind = SolverKind::CgFp16;
   options.cg_fs = 8;
@@ -341,16 +391,10 @@ TEST(SystemSolver, CgFp16PackCheckKeepsItsVerdicts) {
     (void)solver.solve(a, b, x);
     return solver.stats().fp16_fallbacks;
   };
-  // (A finite element past the half range: SolverDegradation.
-  // Fp16OverflowRetriesInFp32.) A nonzero diagonal below 2^-25 flushes to
-  // zero: retry in FP32.
+  // A nonzero diagonal below 2^-25 flushes to zero: retry in FP32.
   EXPECT_EQ(fallbacks({1e-8f, 0.0f, 0.0f, 1.0f}), 1u);
   // A flushed off-diagonal loses nothing that keeps A SPD: no retry.
   EXPECT_EQ(fallbacks({1.0f, 1e-8f, 1e-8f, 1.0f}), 0u);
-  // An element that is already infinite did not overflow in the pack; the
-  // CG breakdown ladder handles it instead.
-  const float inf = std::numeric_limits<float>::infinity();
-  EXPECT_EQ(fallbacks({1.0f, inf, inf, 1.0f}), 0u);
 }
 
 TEST(SolveStats, DeltaOfCumulativeSnapshots) {

@@ -13,6 +13,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <string>
@@ -92,7 +93,33 @@ TEST(SimdVec, DoubleAccumulatorSumsExactProducts) {
   EXPECT_NEAR(acc.hsum(), expect, std::abs(expect) * 1e-15 + 1e-300);
 }
 
+TEST(SimdVec, TransposeMovesLaneCOfRowRToLaneROfRowC) {
+  float in[64];
+  for (int i = 0; i < 64; ++i) {
+    in[i] = static_cast<float>(i) + 0.5f;
+  }
+  simd::vf8 rows[8];
+  for (int r = 0; r < 8; ++r) {
+    rows[r] = simd::vf8::load(in + 8 * r);
+  }
+  simd::transpose(rows);
+  for (int r = 0; r < 8; ++r) {
+    for (int c = 0; c < 8; ++c) {
+      EXPECT_EQ(rows[r].lane(c), in[8 * c + r]) << "r=" << r << " c=" << c;
+    }
+  }
+}
+
 // ---------- FP16 conversions ----------
+
+/// The bit-trick pack of 8 floats as raw half patterns. It is the pack
+/// wherever F16C is absent; testing it directly keeps it covered on hosts
+/// where float_to_half8 runs on F16C.
+void pack_bits8(const float* src, std::uint16_t* out) {
+  half_pack_bits(simd::vf8::load(src)).store_u16(out);
+}
+
+std::uint32_t float_bits(float x) { return std::bit_cast<std::uint32_t>(x); }
 
 TEST(SimdHalf, UnpackMatchesScalarForEveryPattern) {
   // All 65536 half bit patterns, 8 at a time: the SIMD unpack must produce
@@ -128,10 +155,15 @@ TEST(SimdHalf, PackMatchesScalarOnRandomBitPatterns) {
           static_cast<std::uint32_t>(rng.uniform_index(0x100000000ull)));
     }
     std::uint16_t out[8];
+    std::uint16_t out_bits[8];
     float_to_half8(src, out);
+    pack_bits8(src, out_bits);
     for (int i = 0; i < 8; ++i) {
       EXPECT_EQ(out[i], half::from_float(src[i]))
           << "float bits 0x" << std::hex
+          << std::bit_cast<std::uint32_t>(src[i]);
+      EXPECT_EQ(out_bits[i], half::from_float(src[i]))
+          << "bit tricks, float bits 0x" << std::hex
           << std::bit_cast<std::uint32_t>(src[i]);
     }
   }
@@ -156,14 +188,133 @@ TEST(SimdHalf, PackMatchesScalarOnBoundaryValues) {
   };
   float src[8];
   std::uint16_t out[8];
+  std::uint16_t out_bits[8];
   for (const float c : cases) {
     for (int i = 0; i < 8; ++i) {
       src[i] = c;
     }
     float_to_half8(src, out);
+    pack_bits8(src, out_bits);
     EXPECT_EQ(out[0], half::from_float(c))
         << "float bits 0x" << std::hex << std::bit_cast<std::uint32_t>(c);
+    EXPECT_EQ(out_bits[0], half::from_float(c))
+        << "bit tricks, float bits 0x" << std::hex
+        << std::bit_cast<std::uint32_t>(c);
   }
+}
+
+TEST(SimdHalf, RoundThroughMatchesScalarAndFlagsOverflowOnBothPaths) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float boundary[] = {
+      0.0f, -0.0f, 1.0f, 65504.0f, 65519.996f, 65520.0f, -65520.0f,
+      0x1.0p-14f, 0x1.0p-24f, 0x1.0p-25f, 0x1.8p-25f, 0x1.0p-26f,
+      0x1.ffcp-15f, 1.0009766f, inf, -inf, nan,
+      std::bit_cast<float>(0x7F800001u),  // signalling NaN, low payload
+      std::bit_cast<float>(0xFFA12345u),  // negative signalling NaN
+      std::bit_cast<float>(0x00000001u),  // float subnormal
+  };
+  const auto check = [](const std::vector<float>& src, const char* what) {
+    const std::size_t n = src.size();
+    std::vector<float> expect(n);
+    bool expect_overflow = false;
+    for (std::size_t i = 0; i < n; ++i) {
+      expect[i] = half::to_float(half::from_float(src[i]));
+      expect_overflow = expect_overflow ||
+                        (std::isinf(expect[i]) && std::isfinite(src[i]));
+    }
+    for (const auto path :
+         {simd::KernelPath::scalar, simd::KernelPath::simd}) {
+      std::vector<float> got(n);
+      EXPECT_EQ(round_through_half_n(src.data(), got.data(), n, path),
+                expect_overflow)
+          << what << " n=" << n << " path=" << to_string(path);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(float_bits(got[i]), float_bits(expect[i]))
+            << what << " n=" << n << " path=" << to_string(path)
+            << " i=" << i << " float bits 0x" << std::hex
+            << float_bits(src[i]);
+      }
+    }
+  };
+  Rng rng(123);
+  for (const std::size_t n : {1ul, 7ul, 8ul, 9ul, 16ul, 17ul, 100ul, 333ul}) {
+    std::vector<float> src(n);
+    for (int trial = 0; trial < 8; ++trial) {
+      for (auto& x : src) {
+        x = std::bit_cast<float>(
+            static_cast<std::uint32_t>(rng.uniform_index(0x100000000ull)));
+      }
+      check(src, "random bits");
+    }
+    for (std::size_t shift = 0; shift < std::size(boundary); ++shift) {
+      for (std::size_t i = 0; i < n; ++i) {
+        src[i] = boundary[(i + shift) % std::size(boundary)];
+      }
+      check(src, "boundary");
+    }
+    // One probe at every position of an in-range vector: only ±65520 is an
+    // overflow.
+    std::vector<float> in_range(n);
+    for (auto& x : in_range) {
+      x = static_cast<float>(rng.normal(0.0, 100.0));
+    }
+    check(in_range, "in range");
+    for (std::size_t at = 0; at < n; ++at) {
+      for (const float v : {65520.0f, -65520.0f, 65519.0f, inf, nan}) {
+        src = in_range;
+        src[at] = v;
+        check(src, "probe");
+      }
+    }
+  }
+}
+
+TEST(SimdHalf, EveryFormMatchesScalarOnAnOddStrideSweepOfAllFloats) {
+  // Float bit patterns 257·k for every k < 2^32/257 (≈16.7M): every sign
+  // and exponent, with the low mantissa bits stepping through all residues
+  // mod 257. Each 8-lane vector goes through the production pack, the bit-
+  // trick pack, both round trips and the overflow mask.
+  constexpr std::uint64_t kStride = 257;
+  constexpr std::uint64_t kCount = (1ull << 32) / kStride;
+  std::uint64_t mismatches = 0;
+  std::uint32_t first_bad = 0;
+  const auto expect_eq = [&](std::uint32_t got, std::uint32_t want,
+                             float x) {
+    if (got != want) {
+      first_bad = mismatches++ == 0 ? float_bits(x) : first_bad;
+    }
+  };
+  float src[8];
+  for (std::uint64_t k = 0; k + 8 <= kCount; k += 8) {
+    for (std::uint64_t i = 0; i < 8; ++i) {
+      src[i] = std::bit_cast<float>(
+          static_cast<std::uint32_t>((k + i) * kStride));
+    }
+    const simd::vf8 x = simd::vf8::load(src);
+    std::uint16_t packed[8];
+    std::uint16_t packed_bits[8];
+    std::uint16_t overflow[8];
+    float round[8];
+    float round_bits[8];
+    float_to_half8(src, packed);
+    half_pack_bits(x).store_u16(packed_bits);
+    half_overflow_mask(x).store_u16(overflow);
+    round_through_half8(x).store(round);
+    half_unpack_bits(half_pack_bits(x)).store(round_bits);
+    for (int i = 0; i < 8; ++i) {
+      const std::uint16_t h = half::from_float(src[i]);
+      const float r = half::to_float(h);
+      const bool over = std::isinf(r) && std::isfinite(src[i]);
+      expect_eq(packed[i], h, src[i]);
+      expect_eq(packed_bits[i], h, src[i]);
+      expect_eq(float_bits(round[i]), float_bits(r), src[i]);
+      expect_eq(float_bits(round_bits[i]), float_bits(r), src[i]);
+      expect_eq(overflow[i], over ? 0xFFFFu : 0u, src[i]);
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "first mismatch at float bits 0x" << std::hex
+                            << first_bad;
 }
 
 TEST(SimdHalf, BulkHelpersAgreeAcrossPathsIncludingOddTails) {
@@ -273,12 +424,15 @@ TEST(SimdHermitian, TiledKernelIsBitwiseIdenticalAcrossPaths) {
   // of up to 8 rows with a scalar tail at column f. Tiles below, at and
   // above the lane widths; f below one chunk (8, 12), not a multiple of 8
   // or 16 (20, 21, 36, 100); BIN 1 (one column per batch) and BIN 7 (a
-  // short last batch).
+  // short last batch). The SIMD mirror transposes the 8×8 blocks below the
+  // diagonal: f = 8 is one diagonal block, 16, 32 and 64 only whole blocks,
+  // 9 and 17 one ragged row past them, 100 four.
   const Case cases[] = {{8, 4, 32},   {8, 8, 32},   {16, 16, 32},
                         {32, 8, 32},  {100, 5, 32}, {100, 10, 32},
                         {100, 20, 32}, {12, 4, 7},  {20, 5, 1},
                         {21, 7, 32},  {36, 6, 7},   {36, 9, 1},
-                        {100, 10, 7}};
+                        {100, 10, 7}, {9, 3, 32},   {17, 17, 7},
+                        {64, 16, 32}, {64, 8, 1}};
   const auto r = hermitian_fixture(12, 120, 31);
   for (const auto& c : cases) {
     Matrix theta(r.cols(), c.f);
