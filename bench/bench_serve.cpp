@@ -2,10 +2,12 @@
 //
 // Three questions, one JSON answer (BENCH_serve.json):
 //
-//  1. How much does batched scoring buy? The per-item scalar `dot` loop
-//     (the pre-serve recommend_top_k inner loop) vs the dot_rows gemv over
-//     the same Θ — the "serve_batched_scoring" speedup the CI perf-smoke
-//     job gates at ≥ 2x.
+//  1. How much does batched scoring buy, and how close does a request come
+//     to its scoring? The per-item scalar `dot` loop (the pre-serve
+//     recommend_top_k inner loop) vs the dot_rows gemv over the same Θ —
+//     the "serve_batched_scoring" speedup the CI perf-smoke job gates at
+//     ≥ 2x — and dot_rows over one-thread top_k on the same users, the
+//     "serve_topk_scoring_share" it gates too.
 //  2. What latency does a loaded service hold? A closed-loop generator
 //     (T threads issuing back-to-back top-k requests) reports QPS and
 //     p50/p95/p99, all through per-thread cuprof histogram registries
@@ -42,6 +44,7 @@ namespace {
 using namespace cumf;
 using bench::g_sink;
 using bench::time_ns;
+using bench::time_ratio;
 
 std::string json_num(double v) {
   char buf[64];
@@ -157,6 +160,18 @@ int main(int argc, char** argv) {
               batched_ns, batched_speedup);
 
   // --- the engine under test -------------------------------------------
+  // The share users' factor rows and Θ stay behind for the scoring side of
+  // the share measurement below.
+  std::vector<index_t> share_users(32);
+  for (index_t& u : share_users) {
+    u = static_cast<index_t>(rng.uniform_index(users));
+  }
+  Matrix share_x(share_users.size(), f);
+  for (std::size_t i = 0; i < share_users.size(); ++i) {
+    const auto row = model.x.row(share_users[i]);
+    std::copy(row.begin(), row.end(), share_x.row(i).begin());
+  }
+  const Matrix theta = model.theta;
   serve::ServeOptions options;
   options.shards = 4;
   options.cache_capacity = quick ? 256 : 2048;
@@ -164,6 +179,35 @@ int main(int argc, char** argv) {
 
   const std::size_t threads = quick ? 2 : 4;
   const std::size_t k = 10;
+
+  // --- top_k against its own scoring, one thread ------------------------
+  // A whole request (cache look-up, the dot_rows scan, selection) against
+  // the scan alone, over the same users in alternating blocks: the share
+  // of a request that is scoring. Selection work beyond the scan shows as a
+  // share below 1.
+  const auto share = time_ratio(
+      [&] {
+        for (std::size_t i = 0; i < share_users.size(); ++i) {
+          dot_rows(share_x.row(i), theta, 0, items, scores,
+                   simd::kDefaultPath);
+        }
+        g_sink = scores[items - 1];
+      },
+      [&] {
+        for (const index_t u : share_users) {
+          g_sink = static_cast<double>(engine.top_k(u, k).size());
+        }
+      },
+      min_seconds, 1);
+  const double users_per_call = static_cast<double>(share_users.size());
+  const double topk_ns = share.den_ns / users_per_call;
+  std::printf("one-thread top_k (k=%zu, %zu shards) vs its scoring:\n", k,
+              options.shards);
+  std::printf("  dot_rows         %12.0f ns\n",
+              share.num_ns / users_per_call);
+  std::printf("  top_k            %12.0f ns   scoring share %.2f"
+              "  <- CI gate\n\n",
+              topk_ns, share.ratio);
 
   // --- 2. closed loop: back-to-back requests per thread ----------------
   const std::size_t closed_per_thread = quick ? 300 : 2500;
@@ -283,9 +327,14 @@ int main(int argc, char** argv) {
         << "    \"serve_scoring_f64\": {\"scalar_ns\": "
         << json_num(scalar_ns) << ", \"simd_dot_loop_ns\": "
         << json_num(dotloop_ns) << ", \"simd_ns\": " << json_num(batched_ns)
-        << ", \"speedup\": " << json_num(batched_speedup) << "}\n"
+        << ", \"speedup\": " << json_num(batched_speedup) << "},\n"
+        << "    \"serve_topk_f64\": {\"dot_rows_ns\": "
+        << json_num(share.num_ns / users_per_call)
+        << ", \"simd_ns\": " << json_num(topk_ns)
+        << ", \"scoring_share\": " << json_num(share.ratio) << "}\n"
         << "  },\n  \"speedups\": {\n"
         << "    \"serve_batched_scoring\": " << json_num(batched_speedup)
+        << ",\n    \"serve_topk_scoring_share\": " << json_num(share.ratio)
         << "\n  },\n"
         << "  \"closed_loop\": {\"threads\": " << threads
         << ", \"requests\": " << threads * closed_per_thread

@@ -14,6 +14,7 @@
 #include <limits>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "common/stopwatch.hpp"
@@ -52,6 +53,64 @@ inline double time_ns(const std::function<void()>& fn, double min_seconds,
     best = std::min(best, sw.seconds() * 1e9 / static_cast<double>(reps));
   }
   return best;
+}
+
+/// Block pairs per time_ratio measurement (odd, so the median is a pair).
+inline constexpr int kRatioPairs = 9;
+
+/// Two functions timed against each other: the median over block pairs of
+/// num's mean ns per call over den's, and each side's fastest block.
+struct RatioTiming {
+  double ratio = 0.0;
+  double num_ns = 0.0;
+  double den_ns = 0.0;
+};
+
+/// Times `num` and `den` in kRatioPairs pairs of back-to-back blocks that
+/// together take about `min_seconds` (each block repeats its function until
+/// its share has passed, at least `min_reps` calls per check; which side
+/// runs first alternates). The two blocks of a pair run within milliseconds
+/// of each other, so a slow window on a shared host slows both and drops
+/// out of their ratio — which the ratio of two time_ns minima, each taken
+/// at its own moment, does not promise.
+inline RatioTiming time_ratio(const std::function<void()>& num,
+                              const std::function<void()>& den,
+                              double min_seconds, int min_reps) {
+  num();  // warm-up, as in time_ns
+  den();
+  const double block_seconds = min_seconds / (2 * kRatioPairs);
+  const auto block_ns = [&](const std::function<void()>& fn) {
+    std::size_t reps = 0;
+    Stopwatch sw;
+    do {
+      for (int i = 0; i < min_reps; ++i) {
+        fn();
+      }
+      reps += static_cast<std::size_t>(min_reps);
+    } while (sw.seconds() < block_seconds);
+    return sw.seconds() * 1e9 / static_cast<double>(reps);
+  };
+  std::vector<double> ratios;
+  RatioTiming out;
+  out.num_ns = out.den_ns = std::numeric_limits<double>::infinity();
+  for (int pair = 0; pair < kRatioPairs; ++pair) {
+    double n_ns = 0.0;
+    double d_ns = 0.0;
+    if (pair % 2 == 0) {
+      n_ns = block_ns(num);
+      d_ns = block_ns(den);
+    } else {
+      d_ns = block_ns(den);
+      n_ns = block_ns(num);
+    }
+    ratios.push_back(n_ns / d_ns);
+    out.num_ns = std::min(out.num_ns, n_ns);
+    out.den_ns = std::min(out.den_ns, d_ns);
+  }
+  std::nth_element(ratios.begin(), ratios.begin() + kRatioPairs / 2,
+                   ratios.end());
+  out.ratio = ratios[kRatioPairs / 2];
+  return out;
 }
 
 /// Folds a result into a volatile sink so the optimizer cannot delete a

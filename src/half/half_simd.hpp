@@ -151,13 +151,17 @@ inline simd::vf8 round_through_half8(simd::vf8 x) noexcept {
 /// bitwise identical (conversion is exact), so this dispatches freely.
 inline void half_to_float_n(const half* src, float* dst, std::size_t n,
                             simd::KernelPath path) noexcept {
-  std::size_t i = 0;
+  // The bulk helpers start their scalar tail at the 8-lane body's bound:
+  // with a tail that resumed the body's counter, GCC 12 inlining a call
+  // with a compile-time n warned -Waggressive-loop-optimizations.
+  std::size_t body = 0;
   if (path == simd::KernelPath::simd) {
-    for (; i + 8 <= n; i += 8) {
+    body = n - n % 8;
+    for (std::size_t i = 0; i < body; i += 8) {
       half_to_float8(src + i).store(dst + i);
     }
   }
-  for (; i < n; ++i) {
+  for (std::size_t i = body; i < n; ++i) {
     dst[i] = static_cast<float>(src[i]);
   }
 }
@@ -168,18 +172,19 @@ inline void half_to_float_n(const half* src, float* dst, std::size_t n,
 /// range to ±inf — the CG-FP16 pack check, computed in the same pass.
 inline bool round_through_half_n(const float* src, float* dst, std::size_t n,
                                  simd::KernelPath path) noexcept {
-  std::size_t i = 0;
+  std::size_t body = 0;
   bool overflow = false;
   if (path == simd::KernelPath::simd) {
+    body = n - n % 8;
     simd::vu8 over = simd::vu8::broadcast(0u);
-    for (; i + 8 <= n; i += 8) {
+    for (std::size_t i = 0; i < body; i += 8) {
       const simd::vf8 x = simd::vf8::load(src + i);
       round_through_half8(x).store(dst + i);
       over = over | half_overflow_mask(x);
     }
     overflow = over.any();
   }
-  for (; i < n; ++i) {
+  for (std::size_t i = body; i < n; ++i) {
     dst[i] = static_cast<float>(half(src[i]));
     overflow = overflow || (std::isinf(dst[i]) && std::isfinite(src[i]));
   }
@@ -189,13 +194,14 @@ inline bool round_through_half_n(const float* src, float* dst, std::size_t n,
 /// Narrows `n` floats to half storage (the CG-FP16 A conversion).
 inline void float_to_half_n(const float* src, half* dst, std::size_t n,
                             simd::KernelPath path) noexcept {
-  std::size_t i = 0;
+  std::size_t body = 0;
   if (path == simd::KernelPath::simd) {
-    for (; i + 8 <= n; i += 8) {
+    body = n - n % 8;
+    for (std::size_t i = 0; i < body; i += 8) {
       float_to_half8(src + i, reinterpret_cast<std::uint16_t*>(dst + i));
     }
   }
-  for (; i < n; ++i) {
+  for (std::size_t i = body; i < n; ++i) {
     dst[i] = half(src[i]);
   }
 }

@@ -98,10 +98,13 @@ template <typename T>
 void gemv(std::size_t n, const T* a, const real_t* in, real_t* out,
           simd::KernelPath path) {
   if (path == simd::KernelPath::simd) {
+    // Both bodies are bounded up front and each tail starts at its bound
+    // (a tail resuming the body's counter made GCC 12, inlining a call with
+    // a compile-time n, warn -Waggressive-loop-optimizations).
     constexpr std::size_t kRows = 4;
     const std::size_t body = n - n % simd::vf8::kLanes;
-    std::size_t i = 0;
-    for (; i + kRows <= n; i += kRows) {
+    const std::size_t row_body = n - n % kRows;
+    for (std::size_t i = 0; i < row_body; i += kRows) {
       simd::vd8 acc[kRows]{};  // value-initialized: every lane +0.0
       for (std::size_t j = 0; j < body; j += simd::vf8::kLanes) {
         const simd::vd8 xv = simd::vd8::widen(simd::vf8::load(in + j));
@@ -114,7 +117,7 @@ void gemv(std::size_t n, const T* a, const real_t* in, real_t* out,
         out[i + r] = gemv_row_finish(n, body, a + (i + r) * n, in, acc[r]);
       }
     }
-    for (; i < n; ++i) {
+    for (std::size_t i = row_body; i < n; ++i) {
       simd::vd8 acc = simd::vd8::zero();
       for (std::size_t j = 0; j < body; j += simd::vf8::kLanes) {
         acc.mul_acc(simd::vd8::widen(simd::vf8::load(in + j)),
@@ -140,15 +143,16 @@ void gemv(std::size_t n, const T* a, const real_t* in, real_t* out,
 inline void cg_step_update(std::size_t n, real_t alpha, const real_t* p,
                            const real_t* ap, real_t* x, real_t* r,
                            simd::KernelPath path) {
-  std::size_t i = 0;
+  std::size_t body = 0;
   if (path == simd::KernelPath::simd) {
+    body = n - n % 8;
     const simd::vf8 av = simd::vf8::broadcast(alpha);
-    for (; i + 8 <= n; i += 8) {
+    for (std::size_t i = 0; i < body; i += 8) {
       (simd::vf8::load(x + i) + av * simd::vf8::load(p + i)).store(x + i);
       (simd::vf8::load(r + i) - av * simd::vf8::load(ap + i)).store(r + i);
     }
   }
-  for (; i < n; ++i) {
+  for (std::size_t i = body; i < n; ++i) {
     x[i] += alpha * p[i];
     r[i] -= alpha * ap[i];
   }
@@ -157,14 +161,15 @@ inline void cg_step_update(std::size_t n, real_t alpha, const real_t* p,
 /// p = z + β·p (CG line 10 / PCG direction update).
 inline void xpby(std::size_t n, const real_t* z, real_t beta, real_t* p,
                  simd::KernelPath path) {
-  std::size_t i = 0;
+  std::size_t body = 0;
   if (path == simd::KernelPath::simd) {
+    body = n - n % 8;
     const simd::vf8 bv = simd::vf8::broadcast(beta);
-    for (; i + 8 <= n; i += 8) {
+    for (std::size_t i = 0; i < body; i += 8) {
       (simd::vf8::load(z + i) + bv * simd::vf8::load(p + i)).store(p + i);
     }
   }
-  for (; i < n; ++i) {
+  for (std::size_t i = body; i < n; ++i) {
     p[i] = z[i] + beta * p[i];
   }
 }
@@ -172,13 +177,14 @@ inline void xpby(std::size_t n, const real_t* z, real_t beta, real_t* p,
 /// z = d ⊙ r (Jacobi preconditioner application).
 inline void hadamard(std::size_t n, const real_t* d, const real_t* r,
                      real_t* z, simd::KernelPath path) {
-  std::size_t i = 0;
+  std::size_t body = 0;
   if (path == simd::KernelPath::simd) {
-    for (; i + 8 <= n; i += 8) {
+    body = n - n % 8;
+    for (std::size_t i = 0; i < body; i += 8) {
       (simd::vf8::load(d + i) * simd::vf8::load(r + i)).store(z + i);
     }
   }
-  for (; i < n; ++i) {
+  for (std::size_t i = body; i < n; ++i) {
     z[i] = d[i] * r[i];
   }
 }

@@ -1,6 +1,7 @@
 #include "prof/counters.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 
@@ -14,13 +15,14 @@ std::uint64_t Histogram::bucket_key(double value) noexcept {
   if (v <= 128) {
     return v;
   }
-  // Next power of two at or above v: coarse tail buckets keep the map small
-  // for wide-range values (bytes, nnz) while staying merge-stable.
-  std::uint64_t p = 256;
-  while (p < v) {
-    p <<= 1;
-  }
-  return p;
+  // v lies in the octave (2^e, 2^(e+1)], cut into 8 equal sub-buckets, each
+  // keyed by its upper bound: a key overstates its values by less than an
+  // eighth of 2^e, and the map stays small for wide-range values (bytes,
+  // nnz) while every histogram buckets a value the same way.
+  const int e = std::bit_width(v - 1) - 1;
+  const std::uint64_t base = std::uint64_t{1} << e;
+  const std::uint64_t width = base >> 3;
+  return base + (v - base + width - 1) / width * width;
 }
 
 void Histogram::observe(double value) noexcept {

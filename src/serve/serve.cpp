@@ -128,8 +128,7 @@ std::span<real_t> ServeEngine::user_row_locked(index_t user) {
   return {extra_x_.data() + (user - base_users_) * f_, f_};
 }
 
-const std::vector<ServeEngine::ItemRating>* ServeEngine::overlay_row(
-    index_t user) const {
+const ServeEngine::StreamedRow* ServeEngine::overlay_row(index_t user) const {
   const auto it = overlay_.find(user);
   return it == overlay_.end() ? nullptr : &it->second;
 }
@@ -161,53 +160,32 @@ std::vector<ScoredItem> ServeEngine::top_k(index_t user,
     xu = user_row_locked(user);
   }
 
-  const std::span<const index_t> rated =
-      user < seen_.rows() ? seen_.row_cols(user) : std::span<const index_t>{};
+  // One selector over the shards in item order: the offers are exactly
+  // recommend_top_k's, whatever the shard count.
   const auto* streamed = overlay_row(user);
-  const auto is_seen = [&](index_t v) {
-    if (std::binary_search(rated.begin(), rated.end(), v)) {
-      return true;
-    }
-    if (streamed == nullptr) {
-      return false;
-    }
-    return std::binary_search(
-        streamed->begin(), streamed->end(), ItemRating{v, 0.0f},
-        [](const ItemRating& a, const ItemRating& b) {
-          return a.first < b.first;
-        });
-  };
-
-  TopKSelector merged(k);
+  SeenCursor seen(
+      user < seen_.rows() ? seen_.row_cols(user) : std::span<const index_t>{},
+      streamed != nullptr ? std::span<const index_t>(streamed->items)
+                          : std::span<const index_t>{});
+  TopKSelector top(k);
   for (const auto& [begin, end] : shards_) {
     scores.resize(end - begin);
     dot_rows(xu, theta_, begin, end, scores, options_.path);
-    TopKSelector local(k);
-    for (std::size_t v = begin; v < end; ++v) {
-      const auto item = static_cast<index_t>(v);
-      if (is_seen(item)) {
-        continue;
-      }
-      local.offer(item, static_cast<real_t>(scores[v - begin]));
-    }
-    for (const ScoredItem& s : local.take_sorted()) {
-      merged.offer(s.item, s.score);
-    }
+    top.offer_unseen(static_cast<index_t>(begin), scores, seen,
+                     options_.path);
   }
-  return merged.take_sorted();
+  return top.take_sorted();
 }
 
 void ServeEngine::upsert_overlay(index_t user, index_t item, real_t value) {
   auto& row = overlay_[user];
-  const auto it = std::lower_bound(
-      row.begin(), row.end(), ItemRating{item, 0.0f},
-      [](const ItemRating& a, const ItemRating& b) {
-        return a.first < b.first;
-      });
-  if (it != row.end() && it->first == item) {
-    it->second = value;  // latest observation wins
+  const auto it = std::lower_bound(row.items.begin(), row.items.end(), item);
+  const auto at = it - row.items.begin();
+  if (it != row.items.end() && *it == item) {
+    row.values[static_cast<std::size_t>(at)] = value;  // latest wins
   } else {
-    row.insert(it, ItemRating{item, value});
+    row.items.insert(it, item);
+    row.values.insert(row.values.begin() + at, value);
   }
 }
 
@@ -222,22 +200,23 @@ void ServeEngine::refold_locked(index_t user) {
   const std::span<const real_t> base_vals =
       user < seen_.rows() ? seen_.row_vals(user) : std::span<const real_t>{};
   const auto* streamed = overlay_row(user);
-  static const std::vector<ItemRating> kEmpty;
+  static const StreamedRow kEmpty;
   const auto& extra = streamed != nullptr ? *streamed : kEmpty;
-  cols.reserve(base_cols.size() + extra.size());
-  vals.reserve(base_cols.size() + extra.size());
+  const std::size_t extra_n = extra.items.size();
+  cols.reserve(base_cols.size() + extra_n);
+  vals.reserve(base_cols.size() + extra_n);
   std::size_t bi = 0;
   std::size_t oi = 0;
-  while (bi < base_cols.size() || oi < extra.size()) {
+  while (bi < base_cols.size() || oi < extra_n) {
     const bool take_overlay =
         bi >= base_cols.size() ||
-        (oi < extra.size() && extra[oi].first <= base_cols[bi]);
+        (oi < extra_n && extra.items[oi] <= base_cols[bi]);
     if (take_overlay) {
-      if (bi < base_cols.size() && extra[oi].first == base_cols[bi]) {
+      if (bi < base_cols.size() && extra.items[oi] == base_cols[bi]) {
         ++bi;  // overlay shadows the base rating
       }
-      cols.push_back(extra[oi].first);
-      vals.push_back(extra[oi].second);
+      cols.push_back(extra.items[oi]);
+      vals.push_back(extra.values[oi]);
       ++oi;
     } else {
       cols.push_back(base_cols[bi]);

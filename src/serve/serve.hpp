@@ -5,12 +5,16 @@
 // heavy traffic, and absorb the rating stream without a re-train. Three
 // mechanisms carry the load:
 //
-//  * Sharded batched scoring. Items are partitioned into contiguous shards;
-//    each shard is scored with the batched dot_rows gemv (four Θ rows per
-//    pass sharing the x_u loads) and reduced by a bounded TopKSelector, and
-//    the ≤ shards·k survivors merge through a final selector. Because the
-//    ranking order is total, the result is bit-identical to the offline
-//    recommend_top_k brute force — ties included — for any shard count.
+//  * Scoring at the cost of its gemv. Items are cut into contiguous shards;
+//    each shard is scored with the batched dot_rows gemv (one Θ row per
+//    pass against an x_u widened once per call) into a per-thread buffer,
+//    and every shard feeds one TopKSelector through offer_unseen, in item
+//    order. Once k items are kept, eight scores at a time are
+//    compared with the worst kept one, and only those that can enter the
+//    heap are looked up in the user's rated and streamed lists, which are
+//    walked forward once per request. The offers are exactly the offline
+//    recommend_top_k's, so the answer is bit-identical to it — items,
+//    score bits and tie order, NaN scores included — for any shard count.
 //
 //  * Hot-user factor cache. An LRU cache of x_u row copies serves repeat
 //    users without touching the (potentially huge, potentially cold) factor
@@ -60,7 +64,8 @@ class ServeError : public CheckError {
 };
 
 struct ServeOptions {
-  /// Contiguous item shards scored independently (heap-merged at the end).
+  /// Contiguous item ranges scored one dot_rows call each (the per-thread
+  /// score buffer holds one range); the answer does not depend on it.
   std::size_t shards = 1;
   /// Hot-user factor cache capacity in entries; 0 disables the cache.
   std::size_t cache_capacity = 0;
@@ -154,7 +159,13 @@ class ServeEngine {
   }
   std::span<const real_t> user_row_locked(index_t user) const;
   std::span<real_t> user_row_locked(index_t user);
-  const std::vector<ItemRating>* overlay_row(index_t user) const;
+  /// A user's streamed ratings, item-sorted, latest value wins.
+  struct StreamedRow {
+    std::vector<index_t> items;
+    std::vector<real_t> values;
+  };
+
+  const StreamedRow* overlay_row(index_t user) const;
   void upsert_overlay(index_t user, index_t item, real_t value);
   /// Re-solves user's normal equations from base + overlay ratings.
   void refold_locked(index_t user);
@@ -167,8 +178,7 @@ class ServeEngine {
   CsrMatrix seen_;
   /// Folded-in user rows, f_ values each, appended past base_users_.
   std::vector<real_t> extra_x_;
-  /// Streamed ratings per user, item-sorted, latest value wins.
-  std::unordered_map<index_t, std::vector<ItemRating>> overlay_;
+  std::unordered_map<index_t, StreamedRow> overlay_;
   std::vector<std::pair<std::size_t, std::size_t>> shards_;
   mutable FactorCache cache_;
   SystemSolver solver_;

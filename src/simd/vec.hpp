@@ -115,6 +115,25 @@ struct vf8 {
     return *this;
   }
 
+  /// Bit i set when lane i of a >= lane i of b, an ordered compare: a lane
+  /// where either side is NaN reads false, as the scalar `>=` does.
+  static unsigned ge_mask(vf8 a, vf8 b) noexcept {
+#if defined(__AVX512VL__)
+    return _mm256_cmp_ps_mask(std::bit_cast<__m256>(a.v),
+                              std::bit_cast<__m256>(b.v), _CMP_GE_OQ);
+#elif defined(__AVX__)
+    return static_cast<unsigned>(_mm256_movemask_ps(_mm256_cmp_ps(
+        std::bit_cast<__m256>(a.v), std::bit_cast<__m256>(b.v), _CMP_GE_OQ)));
+#else
+    const i32x8 ge = a.v >= b.v;
+    unsigned mask = 0;
+    for (std::size_t i = 0; i < kLanes; ++i) {
+      mask |= static_cast<unsigned>(ge[i] != 0) << i;
+    }
+    return mask;
+#endif
+  }
+
   float lane(std::size_t i) const noexcept { return v[i]; }
 };
 
@@ -436,6 +455,14 @@ struct vf8 {
   vf8& operator+=(vf8 o) noexcept {
     for (std::size_t i = 0; i < kLanes; ++i) v[i] += o.v[i];
     return *this;
+  }
+
+  static unsigned ge_mask(vf8 a, vf8 b) noexcept {
+    unsigned mask = 0;
+    for (std::size_t i = 0; i < kLanes; ++i) {
+      mask |= static_cast<unsigned>(a.v[i] >= b.v[i]) << i;
+    }
+    return mask;
   }
 
   float lane(std::size_t i) const noexcept { return v[i]; }

@@ -22,6 +22,7 @@
 #include "metrics/rmse.hpp"
 #include "metrics/roofline.hpp"
 #include "sparse/csr.hpp"
+#include "topk_oracle.hpp"
 
 namespace cumf {
 namespace {
@@ -494,6 +495,32 @@ TEST(Ranking, TopKClampsToUnseenCandidates) {
   EXPECT_EQ(recs[0].item, 1u);
   EXPECT_EQ(recs[1].item, 0u);
   EXPECT_THROW(recommend_top_k(x, theta, csr, 5, 2), CheckError);
+}
+
+TEST(Ranking, TopKMatchesTheOracleOverShapesAndK) {
+  // Equal scores straddle the 8-lane chunks and the worst kept score, and
+  // the seen rows run from empty to complete.
+  const std::size_t f = 12;
+  const index_t users = 8;
+  for (const index_t items : {1U, 7U, 8U, 9U, 17U, 101U, 1000U}) {
+    Rng rng(700 + items);
+    Matrix x(users, f);
+    for (real_t& v : x.data()) {
+      v = static_cast<real_t>(rng.normal());
+    }
+    const Matrix theta = topk_oracle::tied_theta(items, f, 800 + items);
+    const auto seen = topk_oracle::profiled_seen(users, items, 900 + items);
+    for (index_t u = 0; u < users; ++u) {
+      const auto rated = topk_oracle::row_set(seen, u);
+      const std::size_t unseen = items - rated.size();
+      for (const std::size_t k : {0UL, 1UL, 10UL, unseen + 3}) {
+        EXPECT_EQ(recommend_top_k(x, theta, seen, u, k),
+                  topk_oracle::top_k(x.row(u), theta, rated, k,
+                                     simd::kDefaultPath))
+            << "items=" << items << " user=" << u << " k=" << k;
+      }
+    }
+  }
 }
 
 TEST(Loaders, ParsesTripletFormat) {

@@ -7,12 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "prof/counters.hpp"
 #include "prof/prof.hpp"
@@ -282,8 +284,52 @@ TEST(Histogram, BucketKeysAreDeterministic) {
   EXPECT_EQ(Histogram::bucket_key(0.0), 0u);
   EXPECT_EQ(Histogram::bucket_key(6.0), 6u);
   EXPECT_EQ(Histogram::bucket_key(128.0), 128u);
-  EXPECT_EQ(Histogram::bucket_key(129.0), 256u);
+  EXPECT_EQ(Histogram::bucket_key(129.0), 144u);
   EXPECT_EQ(Histogram::bucket_key(1000.0), 1024u);
+}
+
+TEST(Histogram, TailKeysResolveWithinAnEighthOfAnOctave) {
+  // Above 128 a key is the upper bound of the value's eighth of its octave
+  // (2^e, 2^(e+1)]: never below the value, less than 2^e / 8 above it, and
+  // a key is its own bucket.
+  for (std::uint64_t v = 129; v < (std::uint64_t{1} << 40); v += v / 37 + 1) {
+    const std::uint64_t key = Histogram::bucket_key(static_cast<double>(v));
+    const std::uint64_t octave_base = std::bit_floor(v - 1);
+    ASSERT_GE(key, v) << v;
+    ASSERT_LT(key - v, octave_base / 8) << v;
+    ASSERT_LE(key, 2 * octave_base) << v;
+    ASSERT_EQ(Histogram::bucket_key(static_cast<double>(key)), key) << v;
+  }
+  EXPECT_EQ(Histogram::bucket_key(144.0), 144u);
+  EXPECT_EQ(Histogram::bucket_key(145.0), 160u);
+  EXPECT_EQ(Histogram::bucket_key(256.0), 256u);
+  EXPECT_EQ(Histogram::bucket_key(257.0), 288u);
+}
+
+TEST(Histogram, TailPercentilesStayMergeStable) {
+  // Latency-like values from 50 µs to 50 ms, split across three shards and
+  // merged in two orders: every percentile equals the whole histogram's.
+  Rng rng(71);
+  Histogram whole;
+  Histogram shards[3];
+  for (int i = 0; i < 6000; ++i) {
+    const double v = std::exp(rng.normal(6.0, 1.2));
+    whole.observe(v);
+    shards[i % 3].observe(v);
+  }
+  Histogram left = shards[0];
+  left.merge(shards[1]);
+  left.merge(shards[2]);
+  Histogram right = shards[2];
+  right.merge(shards[0]);
+  right.merge(shards[1]);
+  EXPECT_EQ(left.buckets(), whole.buckets());
+  EXPECT_EQ(right.buckets(), whole.buckets());
+  for (const double q : {0.5, 0.9, 0.95, 0.99, 0.999}) {
+    EXPECT_EQ(left.percentile(q), whole.percentile(q)) << q;
+    EXPECT_EQ(right.percentile(q), whole.percentile(q)) << q;
+  }
+  EXPECT_GT(whole.percentile(0.5), 128.0);  // the tail buckets are in play
 }
 
 TEST(Histogram, MergeSumsBucketwise) {

@@ -348,6 +348,61 @@ TEST(SimdHalf, BulkHelpersAgreeAcrossPathsIncludingOddTails) {
   }
 }
 
+// Compile-time lengths: once these calls inline, GCC knows every trip count,
+// so a bulk helper whose scalar tail it cannot bound warns
+// (-Waggressive-loop-optimizations) and this file fails to build under
+// CUMF_WERROR=ON.
+TEST(SimdHalf, BulkHelpersBuildAndAgreeAtACompileTimeLength) {
+  constexpr std::size_t kN = 10000;
+  const auto src = random_vec(kN, 17);
+  std::vector<real_t> rounded_simd(kN);
+  std::vector<real_t> rounded_scalar(kN);
+  EXPECT_FALSE(round_through_half_n(src.data(), rounded_simd.data(), kN,
+                                    simd::KernelPath::simd));
+  EXPECT_FALSE(round_through_half_n(src.data(), rounded_scalar.data(), kN,
+                                    simd::KernelPath::scalar));
+  EXPECT_EQ(rounded_simd, rounded_scalar);
+  std::vector<half> packed(kN);
+  float_to_half_n(src.data(), packed.data(), kN, simd::KernelPath::simd);
+  std::vector<real_t> widened(kN);
+  half_to_float_n(packed.data(), widened.data(), kN, simd::KernelPath::simd);
+  EXPECT_EQ(widened, rounded_scalar);
+}
+
+TEST(SimdCg, HelpersBuildAndAgreeAtACompileTimeLength) {
+  constexpr std::size_t kF = 100;
+  constexpr std::size_t kN = 10000;
+  const auto a = random_vec(kF * kF, 18);
+  const auto in = random_vec(kF, 19);
+  std::vector<real_t> out(kF);
+  detail::gemv<float>(kF, a.data(), in.data(), out.data(),
+                      simd::KernelPath::simd);
+  for (std::size_t i = 0; i < kF; ++i) {
+    const std::span<const real_t> row(a.data() + i * kF, kF);
+    EXPECT_EQ(out[i], static_cast<real_t>(dot(row, in, simd::KernelPath::simd)))
+        << i;
+  }
+  const auto p = random_vec(kN, 20);
+  const auto ap = random_vec(kN, 21);
+  std::vector<real_t> x[2] = {random_vec(kN, 22), random_vec(kN, 22)};
+  std::vector<real_t> r[2] = {random_vec(kN, 23), random_vec(kN, 23)};
+  std::vector<real_t> z[2] = {std::vector<real_t>(kN),
+                              std::vector<real_t>(kN)};
+  detail::cg_step_update(kN, 0.5f, p.data(), ap.data(), x[0].data(),
+                         r[0].data(), simd::KernelPath::scalar);
+  detail::cg_step_update(kN, 0.5f, p.data(), ap.data(), x[1].data(),
+                         r[1].data(), simd::KernelPath::simd);
+  detail::hadamard(kN, p.data(), r[0].data(), z[0].data(),
+                   simd::KernelPath::scalar);
+  detail::hadamard(kN, p.data(), r[1].data(), z[1].data(),
+                   simd::KernelPath::simd);
+  detail::xpby(kN, ap.data(), 0.25f, z[0].data(), simd::KernelPath::scalar);
+  detail::xpby(kN, ap.data(), 0.25f, z[1].data(), simd::KernelPath::simd);
+  EXPECT_EQ(x[0], x[1]);
+  EXPECT_EQ(r[0], r[1]);
+  EXPECT_EQ(z[0], z[1]);
+}
+
 // ---------- dense primitives ----------
 
 TEST(SimdDense, DotAgreesAcrossPaths) {
