@@ -149,9 +149,8 @@ AlsEngine::AlsEngine(const RatingsCoo& train, const AlsOptions& options,
 AlsEngine::AlsEngine(const std::string& shard_dir, const AlsOptions& options,
                      const OocOptions& ooc)
     : options_(checked(options)),
-      cache_(std::make_unique<TileCache>(
-          shard_dir, read_shard_meta(shard_dir),
-          TileCacheOptions{ooc.host_mem_bytes, ooc.use_mmap})) {
+      cache_(std::make_unique<TileCache>(shard_dir, read_shard_meta(shard_dir),
+                                         ooc.host_mem_bytes)) {
   CUMF_EXPECTS(options_.workers >= 1, "need at least one worker");
   const ShardMeta& meta = cache_->meta();
   // meta.mean is the bit-exact mean_value() of the canonical train split,

@@ -105,8 +105,6 @@ struct OocOptions {
   /// Prefetch the next tile while the current one computes. false is the
   /// no-overlap ablation the bench gate compares against.
   bool overlap = true;
-  /// false exercises the buffered-read fallback instead of mmap.
-  bool use_mmap = true;
 };
 
 /// Measured wall-time breakdown of the last epoch's tile streaming.

@@ -1,92 +1,35 @@
 #include "data/checkpoint.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
-#include <utility>
 
-#include "common/crc32.hpp"
 #include "data/atomic_file.hpp"
 
 namespace cumf {
 namespace {
 
-[[noreturn]] void reject(CkptReject reason, const std::string& detail) {
-  throw CheckpointError(reason, std::string("checkpoint ") +
-                                    to_string(reason) + ": " + detail);
+constexpr std::string_view kWhat = "checkpoint";
+
+void put_matrix(ByteWriter& w, const Matrix& m) {
+  w.put<std::uint64_t>(m.rows());
+  w.put<std::uint64_t>(m.cols());
+  w.put_array(m.data());
 }
 
-/// Appends fixed-width scalars in native (little-endian) byte order.
-class ByteWriter {
- public:
-  explicit ByteWriter(std::string& out) : out_(out) {}
-
-  template <typename T>
-  void put(T value) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    const auto* bytes = reinterpret_cast<const char*>(&value);
-    out_.append(bytes, sizeof(T));
+Matrix get_matrix(ByteReader& r) {
+  const auto rows = r.get<std::uint64_t>();
+  const auto cols = r.get<std::uint64_t>();
+  // Guard the multiplication before allocating: a corrupted-but-CRC-valid
+  // header must not become a multi-terabyte allocation.
+  const std::uint64_t max_elems = r.remaining() / sizeof(real_t);
+  if (rows > max_elems || (rows != 0 && cols > max_elems / rows)) {
+    reject(FrameReject::malformed, kWhat, "matrix dims exceed payload size");
   }
-
-  void put_f32(float v) { put(std::bit_cast<std::uint32_t>(v)); }
-  void put_f64(double v) { put(std::bit_cast<std::uint64_t>(v)); }
-
-  void put_matrix(const Matrix& m) {
-    put<std::uint64_t>(m.rows());
-    put<std::uint64_t>(m.cols());
-    for (const real_t v : m.data()) {
-      put_f32(v);
-    }
-  }
-
- private:
-  std::string& out_;
-};
-
-/// Bounds-checked cursor over the payload; any overrun is a torn write.
-class ByteReader {
- public:
-  explicit ByteReader(std::string_view buf) : buf_(buf) {}
-
-  template <typename T>
-  T get() {
-    static_assert(std::is_trivially_copyable_v<T>);
-    if (buf_.size() - pos_ < sizeof(T)) {
-      reject(CkptReject::truncated, "payload ends mid-field");
-    }
-    T value;
-    std::memcpy(&value, buf_.data() + pos_, sizeof(T));
-    pos_ += sizeof(T);
-    return value;
-  }
-
-  float get_f32() { return std::bit_cast<float>(get<std::uint32_t>()); }
-  double get_f64() { return std::bit_cast<double>(get<std::uint64_t>()); }
-
-  Matrix get_matrix() {
-    const auto rows = get<std::uint64_t>();
-    const auto cols = get<std::uint64_t>();
-    // Guard the multiplication before allocating: a corrupted-but-CRC-valid
-    // header must not become a multi-terabyte allocation.
-    const std::uint64_t max_elems = remaining() / sizeof(std::uint32_t);
-    if (rows > max_elems || (rows != 0 && cols > max_elems / rows)) {
-      reject(CkptReject::malformed, "matrix dims exceed payload size");
-    }
-    Matrix m(static_cast<std::size_t>(rows), static_cast<std::size_t>(cols));
-    for (real_t& v : m.data()) {
-      v = get_f32();
-    }
-    return m;
-  }
-
-  std::size_t remaining() const noexcept { return buf_.size() - pos_; }
-
- private:
-  std::string_view buf_;
-  std::size_t pos_ = 0;
-};
+  Matrix m(static_cast<std::size_t>(rows), static_cast<std::size_t>(cols));
+  r.get_array(m.data());
+  return m;
+}
 
 std::string render_payload(const TrainCheckpoint& ckpt) {
   std::string payload;
@@ -95,15 +38,15 @@ std::string render_payload(const TrainCheckpoint& ckpt) {
   for (const std::uint64_t word : ckpt.rng.s) {
     w.put(word);
   }
-  w.put_f64(ckpt.rng.cached_normal);
+  w.put(ckpt.rng.cached_normal);
   w.put<std::uint8_t>(ckpt.rng.has_cached_normal ? 1 : 0);
-  w.put_f64(ckpt.train_seconds);
+  w.put(ckpt.train_seconds);
 
   w.put(ckpt.seed);
   w.put(ckpt.f);
   w.put(ckpt.solver_kind);
   w.put(ckpt.cg_fs);
-  w.put_f32(ckpt.lambda);
+  w.put(ckpt.lambda);
   w.put(ckpt.rows);
   w.put(ckpt.cols);
   w.put(ckpt.train_nnz);
@@ -121,32 +64,32 @@ std::string render_payload(const TrainCheckpoint& ckpt) {
 
   w.put<std::uint32_t>(static_cast<std::uint32_t>(ckpt.curve.size()));
   for (const ConvergenceTracker::Point& p : ckpt.curve) {
-    w.put_f64(p.seconds);
-    w.put_f64(p.rmse);
+    w.put(p.seconds);
+    w.put(p.rmse);
     w.put<std::int32_t>(p.epoch);
   }
 
-  w.put_matrix(ckpt.x);
-  w.put_matrix(ckpt.theta);
+  put_matrix(w, ckpt.x);
+  put_matrix(w, ckpt.theta);
   return payload;
 }
 
 TrainCheckpoint parse_payload(std::string_view payload) {
   TrainCheckpoint ckpt;
-  ByteReader r(payload);
+  ByteReader r(payload, kWhat);
   ckpt.epoch = r.get<std::uint32_t>();
   for (std::uint64_t& word : ckpt.rng.s) {
     word = r.get<std::uint64_t>();
   }
-  ckpt.rng.cached_normal = r.get_f64();
+  ckpt.rng.cached_normal = r.get<double>();
   ckpt.rng.has_cached_normal = r.get<std::uint8_t>() != 0;
-  ckpt.train_seconds = r.get_f64();
+  ckpt.train_seconds = r.get<double>();
 
   ckpt.seed = r.get<std::uint64_t>();
   ckpt.f = r.get<std::uint64_t>();
   ckpt.solver_kind = r.get<std::uint32_t>();
   ckpt.cg_fs = r.get<std::uint32_t>();
-  ckpt.lambda = r.get_f32();
+  ckpt.lambda = r.get<float>();
   ckpt.rows = r.get<std::uint32_t>();
   ckpt.cols = r.get<std::uint32_t>();
   ckpt.train_nnz = r.get<std::uint64_t>();
@@ -166,94 +109,27 @@ TrainCheckpoint parse_payload(std::string_view payload) {
   ckpt.curve.reserve(curve_len);
   for (std::uint32_t i = 0; i < curve_len; ++i) {
     ConvergenceTracker::Point p;
-    p.seconds = r.get_f64();
-    p.rmse = r.get_f64();
+    p.seconds = r.get<double>();
+    p.rmse = r.get<double>();
     p.epoch = r.get<std::int32_t>();
     ckpt.curve.push_back(p);
   }
 
-  ckpt.x = r.get_matrix();
-  ckpt.theta = r.get_matrix();
-
-  if (r.remaining() != 0) {
-    reject(CkptReject::malformed, "trailing bytes after the last field");
-  }
+  ckpt.x = get_matrix(r);
+  ckpt.theta = get_matrix(r);
+  r.expect_end();
   return ckpt;
 }
 
 }  // namespace
 
-const char* to_string(CkptReject reason) {
-  switch (reason) {
-    case CkptReject::io:
-      return "unreadable";
-    case CkptReject::bad_magic:
-      return "not a cumf checkpoint (bad magic)";
-    case CkptReject::version_skew:
-      return "incompatible format version";
-    case CkptReject::truncated:
-      return "truncated (torn write?)";
-    case CkptReject::bad_crc:
-      return "corrupted (CRC mismatch)";
-    case CkptReject::malformed:
-      return "malformed payload";
-    case CkptReject::mismatch:
-      return "belongs to a different run configuration";
-  }
-  return "unknown rejection";
-}
-
 std::string serialize_checkpoint(const TrainCheckpoint& ckpt) {
-  const std::string payload = render_payload(ckpt);
-  std::string out;
-  out.reserve(kCheckpointMagic.size() + 16 + payload.size());
-  out.append(kCheckpointMagic);
-  ByteWriter w(out);
-  w.put(kCheckpointVersion);
-  w.put<std::uint64_t>(payload.size());
-  out.append(payload);
-  w.put(crc32(0, payload.data(), payload.size()));
-  return out;
+  return frame(kCheckpointMagic, kCheckpointVersion, render_payload(ckpt));
 }
 
 TrainCheckpoint parse_checkpoint(std::string_view bytes) {
-  constexpr std::size_t kHeader = 8 + 4 + 8;  // magic + version + length
-  if (bytes.size() < kHeader) {
-    if (bytes.substr(0, kCheckpointMagic.size()) !=
-        kCheckpointMagic.substr(0, std::min(bytes.size(),
-                                            kCheckpointMagic.size()))) {
-      reject(CkptReject::bad_magic, "file shorter than the magic");
-    }
-    reject(CkptReject::truncated, "file shorter than the header");
-  }
-  if (bytes.substr(0, kCheckpointMagic.size()) != kCheckpointMagic) {
-    reject(CkptReject::bad_magic, "expected leading \"CUMFCKPT\"");
-  }
-  std::uint32_t version = 0;
-  std::memcpy(&version, bytes.data() + 8, sizeof(version));
-  if (version != kCheckpointVersion) {
-    reject(CkptReject::version_skew,
-           "file version " + std::to_string(version) + ", reader supports " +
-               std::to_string(kCheckpointVersion));
-  }
-  std::uint64_t payload_len = 0;
-  std::memcpy(&payload_len, bytes.data() + 12, sizeof(payload_len));
-  if (bytes.size() - kHeader < payload_len ||
-      bytes.size() - kHeader - payload_len < sizeof(std::uint32_t)) {
-    reject(CkptReject::truncated,
-           "header promises " + std::to_string(payload_len) +
-               " payload bytes, file has " +
-               std::to_string(bytes.size() - kHeader));
-  }
-  const std::string_view payload = bytes.substr(kHeader, payload_len);
-  std::uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, bytes.data() + kHeader + payload_len,
-              sizeof(stored_crc));
-  const std::uint32_t actual_crc = crc32(0, payload.data(), payload.size());
-  if (stored_crc != actual_crc) {
-    reject(CkptReject::bad_crc, "stored CRC does not match payload");
-  }
-  return parse_payload(payload);
+  return parse_payload(
+      unframe(kCheckpointMagic, kCheckpointVersion, bytes, kWhat));
 }
 
 void write_checkpoint_file(const std::string& path,
@@ -262,22 +138,7 @@ void write_checkpoint_file(const std::string& path,
 }
 
 TrainCheckpoint read_checkpoint_file(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    reject(CkptReject::io, "cannot open '" + path + "'");
-  }
-  std::string bytes;
-  char buf[1 << 16];
-  std::size_t got = 0;
-  while ((got = std::fread(buf, 1, sizeof(buf), file)) > 0) {
-    bytes.append(buf, got);
-  }
-  const bool read_error = std::ferror(file) != 0;
-  std::fclose(file);
-  if (read_error) {
-    reject(CkptReject::io, "read error on '" + path + "'");
-  }
-  return parse_checkpoint(bytes);
+  return parse_checkpoint(read_file(path));
 }
 
 std::string checkpoint_path(const std::string& dir, int epoch) {

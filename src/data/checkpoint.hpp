@@ -6,19 +6,12 @@
 // curve, plus a run fingerprint (f, solver, fs, λ, seed, dataset shape)
 // that resume validates so a checkpoint is never applied to the wrong run.
 //
-// Layout (fixed-width little-endian, the only layout this codebase targets):
-//
-//   [0..8)   magic "CUMFCKPT"
-//   [8..12)  u32 format version (kCheckpointVersion)
-//   [12..20) u64 payload length
-//   [20..20+len) payload (see serialize_checkpoint)
-//   [..+4)   u32 CRC-32 of the payload
-//
-// The reader trusts nothing before it is checked: wrong magic, version
-// skew, a short file, and a CRC mismatch each raise CheckpointError with a
-// distinct CkptReject reason that the CLI turns into a nonzero-exit
-// diagnostic. Files are written through atomic_write_file, so a crash
-// mid-checkpoint can never damage the previous good checkpoint.
+// Files use the shared frame (data/frame.hpp: magic "CUMFCKPT",
+// kCheckpointVersion, length, payload, CRC-32), so a torn, corrupted or
+// foreign file is rejected with a FrameError naming its FrameReject reason,
+// which the CLI turns into a nonzero-exit diagnostic. Files are written
+// through atomic_write_file, so a crash mid-checkpoint can never damage the
+// previous good checkpoint.
 #pragma once
 
 #include <cstdint>
@@ -27,9 +20,9 @@
 #include <string_view>
 #include <vector>
 
-#include "common/check.hpp"
 #include "common/rng.hpp"
 #include "core/solver.hpp"
+#include "data/frame.hpp"
 #include "linalg/dense.hpp"
 #include "metrics/convergence.hpp"
 
@@ -37,31 +30,6 @@ namespace cumf {
 
 inline constexpr std::string_view kCheckpointMagic = "CUMFCKPT";
 inline constexpr std::uint32_t kCheckpointVersion = 1;
-
-/// Why a checkpoint file was rejected.
-enum class CkptReject {
-  io,            ///< cannot open/read the file at all
-  bad_magic,     ///< not a cumf checkpoint
-  version_skew,  ///< written by an incompatible format version
-  truncated,     ///< shorter than its header promises (torn write)
-  bad_crc,       ///< payload checksum mismatch (corruption)
-  malformed,     ///< CRC passed but the payload doesn't parse (logic bug)
-  mismatch,      ///< valid checkpoint, but for a different run configuration
-};
-
-const char* to_string(CkptReject reason);
-
-/// Thrown on any rejected checkpoint; carries the machine-readable reason
-/// so callers can distinguish "retry another file" from "wrong run".
-class CheckpointError : public CheckError {
- public:
-  CheckpointError(CkptReject reason, const std::string& what)
-      : CheckError(what), reason_(reason) {}
-  CkptReject reason() const noexcept { return reason_; }
-
- private:
-  CkptReject reason_;
-};
 
 /// Full resumable training state plus the run fingerprint.
 struct TrainCheckpoint {
@@ -88,14 +56,14 @@ struct TrainCheckpoint {
 /// Renders the framed byte stream (magic, version, length, payload, CRC).
 std::string serialize_checkpoint(const TrainCheckpoint& ckpt);
 
-/// Parses and validates a byte stream; throws CheckpointError.
+/// Parses and validates a byte stream; throws FrameError.
 TrainCheckpoint parse_checkpoint(std::string_view bytes);
 
 /// Atomic write via temp-file + rename (see data/atomic_file.hpp).
 void write_checkpoint_file(const std::string& path,
                            const TrainCheckpoint& ckpt);
 
-/// Reads and validates; throws CheckpointError (reason io if unreadable).
+/// Reads and validates; throws FrameError (reason io if unreadable).
 TrainCheckpoint read_checkpoint_file(const std::string& path);
 
 /// "DIR/ckpt-<epoch, zero-padded>.bin" — sortable lexicographically.

@@ -1,202 +1,22 @@
 #include "data/shards.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <utility>
 
-#include "common/crc32.hpp"
 #include "common/rng.hpp"
 #include "data/atomic_file.hpp"
 #include "sparse/partition.hpp"
 #include "sparse/split.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define CUMF_HAVE_MMAP 1
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#endif
-
 namespace cumf {
 namespace {
 
-[[noreturn]] void reject(ShardReject reason, const std::string& detail) {
-  throw ShardError(reason,
-                   std::string("shard ") + to_string(reason) + ": " + detail);
-}
-
-/// Appends fixed-width scalars in native (little-endian) byte order — the
-/// same discipline as the checkpoint writer.
-class ByteWriter {
- public:
-  explicit ByteWriter(std::string& out) : out_(out) {}
-
-  template <typename T>
-  void put(T value) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    const auto* bytes = reinterpret_cast<const char*>(&value);
-    out_.append(bytes, sizeof(T));
-  }
-
-  void put_f32(float v) { put(std::bit_cast<std::uint32_t>(v)); }
-  void put_f64(double v) { put(std::bit_cast<std::uint64_t>(v)); }
-
- private:
-  std::string& out_;
-};
-
-/// Bounds-checked cursor over a payload; any overrun is a torn write.
-class ByteReader {
- public:
-  explicit ByteReader(std::string_view buf) : buf_(buf) {}
-
-  template <typename T>
-  T get() {
-    static_assert(std::is_trivially_copyable_v<T>);
-    if (buf_.size() - pos_ < sizeof(T)) {
-      reject(ShardReject::truncated, "payload ends mid-field");
-    }
-    T value;
-    std::memcpy(&value, buf_.data() + pos_, sizeof(T));
-    pos_ += sizeof(T);
-    return value;
-  }
-
-  float get_f32() { return std::bit_cast<float>(get<std::uint32_t>()); }
-  double get_f64() { return std::bit_cast<double>(get<std::uint64_t>()); }
-
-  /// Caps a stored element count by what the remaining payload can hold, so
-  /// a corrupted-but-CRC-valid count never becomes a huge allocation.
-  std::uint64_t get_count(std::size_t elem_bytes) {
-    const auto n = get<std::uint64_t>();
-    if (n > remaining() / elem_bytes) {
-      reject(ShardReject::malformed, "element count exceeds payload size");
-    }
-    return n;
-  }
-
-  std::size_t remaining() const noexcept { return buf_.size() - pos_; }
-
- private:
-  std::string_view buf_;
-  std::size_t pos_ = 0;
-};
-
-std::string frame(std::string_view magic, std::string_view payload) {
-  std::string out;
-  out.reserve(magic.size() + 16 + payload.size());
-  out.append(magic);
-  ByteWriter w(out);
-  w.put(kShardVersion);
-  w.put<std::uint64_t>(payload.size());
-  out.append(payload);
-  w.put(crc32(0, payload.data(), payload.size()));
-  return out;
-}
-
-/// Validates magic/version/length/CRC and returns a view of the payload.
-std::string_view unframe(std::string_view magic, std::string_view bytes,
-                         const std::string& what) {
-  constexpr std::size_t kHeader = 8 + 4 + 8;  // magic + version + length
-  if (bytes.size() < kHeader) {
-    if (bytes.substr(0, magic.size()) !=
-        magic.substr(0, std::min(bytes.size(), magic.size()))) {
-      reject(ShardReject::bad_magic, what + " shorter than the magic");
-    }
-    reject(ShardReject::truncated, what + " shorter than the header");
-  }
-  if (bytes.substr(0, magic.size()) != magic) {
-    reject(ShardReject::bad_magic,
-           what + " expected leading \"" + std::string(magic) + "\"");
-  }
-  std::uint32_t version = 0;
-  std::memcpy(&version, bytes.data() + 8, sizeof(version));
-  if (version != kShardVersion) {
-    reject(ShardReject::version_skew,
-           what + " version " + std::to_string(version) +
-               ", reader supports " + std::to_string(kShardVersion));
-  }
-  std::uint64_t payload_len = 0;
-  std::memcpy(&payload_len, bytes.data() + 12, sizeof(payload_len));
-  if (bytes.size() - kHeader < payload_len ||
-      bytes.size() - kHeader - payload_len < sizeof(std::uint32_t)) {
-    reject(ShardReject::truncated,
-           what + " promises " + std::to_string(payload_len) +
-               " payload bytes, file has " +
-               std::to_string(bytes.size() - kHeader));
-  }
-  const std::string_view payload = bytes.substr(kHeader, payload_len);
-  std::uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, bytes.data() + kHeader + payload_len,
-              sizeof(stored_crc));
-  if (stored_crc != crc32(0, payload.data(), payload.size())) {
-    reject(ShardReject::bad_crc, what + " stored CRC does not match payload");
-  }
-  return payload;
-}
-
-void read_whole_file(const std::string& path, std::string& out) {
-  out.clear();
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    reject(ShardReject::io, "cannot open '" + path + "'");
-  }
-  char buf[1 << 16];
-  std::size_t got = 0;
-  while ((got = std::fread(buf, 1, sizeof(buf), file)) > 0) {
-    out.append(buf, got);
-  }
-  const bool read_error = std::ferror(file) != 0;
-  std::fclose(file);
-  if (read_error) {
-    reject(ShardReject::io, "read error on '" + path + "'");
-  }
-}
-
-#ifdef CUMF_HAVE_MMAP
-/// RAII read-only mapping of a whole file. `valid()` is false (not fatal)
-/// when the file cannot be mapped — the caller falls back to reads.
-class MappedFile {
- public:
-  explicit MappedFile(const std::string& path) {
-    const int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd < 0) {
-      reject(ShardReject::io, "cannot open '" + path + "'");
-    }
-    struct stat st {};
-    if (::fstat(fd, &st) != 0 || st.st_size < 0) {
-      ::close(fd);
-      reject(ShardReject::io, "cannot stat '" + path + "'");
-    }
-    size_ = static_cast<std::size_t>(st.st_size);
-    if (size_ > 0) {
-      void* map = ::mmap(nullptr, size_, PROT_READ, MAP_PRIVATE, fd, 0);
-      data_ = (map == MAP_FAILED) ? nullptr : static_cast<const char*>(map);
-    }
-    ::close(fd);
-  }
-  MappedFile(const MappedFile&) = delete;
-  MappedFile& operator=(const MappedFile&) = delete;
-  ~MappedFile() {
-    if (data_ != nullptr) {
-      ::munmap(const_cast<char*>(data_), size_);
-    }
-  }
-
-  bool valid() const noexcept { return data_ != nullptr || size_ == 0; }
-  std::string_view view() const noexcept { return {data_, size_}; }
-
- private:
-  const char* data_ = nullptr;
-  std::size_t size_ = 0;
-};
-#endif
+constexpr std::string_view kMetaWhat = "shard meta";
+constexpr std::string_view kTestWhat = "shard test set";
 
 std::string render_tile_payload(const CsrTile& tile) {
   std::string payload;
@@ -207,25 +27,18 @@ std::string render_tile_payload(const CsrTile& tile) {
   w.put<std::uint32_t>(tile.row_end);
   w.put<std::uint32_t>(tile.csr.cols());
   w.put<std::uint64_t>(tile.csr.nnz());
-  for (const nnz_t p : tile.csr.row_ptr()) {
-    w.put<std::uint64_t>(p);
-  }
-  for (const index_t v : tile.csr.col_idx()) {
-    w.put<std::uint32_t>(v);
-  }
-  for (const real_t r : tile.csr.values()) {
-    w.put_f32(r);
-  }
+  w.put_array(tile.csr.row_ptr());
+  w.put_array(tile.csr.col_idx());
+  w.put_array(tile.csr.values());
   return payload;
 }
 
-CsrTile parse_tile_payload(std::string_view payload,
-                           const std::string& what) {
-  ByteReader r(payload);
+CsrTile parse_tile_payload(std::string_view payload, std::string_view what) {
+  ByteReader r(payload, what);
   CsrTile tile;
   const auto view_raw = r.get<std::uint8_t>();
   if (view_raw > 1) {
-    reject(ShardReject::malformed, what + " has an unknown view tag");
+    reject(FrameReject::malformed, what, "unknown view tag");
   }
   tile.view = static_cast<TileView>(view_raw);
   tile.index = r.get<std::uint32_t>();
@@ -233,32 +46,21 @@ CsrTile parse_tile_payload(std::string_view payload,
   tile.row_end = r.get<std::uint32_t>();
   const auto cols = r.get<std::uint32_t>();
   if (tile.row_end < tile.row_begin) {
-    reject(ShardReject::malformed, what + " has an inverted row range");
+    reject(FrameReject::malformed, what, "inverted row range");
   }
   const index_t rows = tile.row_end - tile.row_begin;
   const auto nnz = r.get_count(sizeof(std::uint64_t));
   if (static_cast<std::uint64_t>(rows) + 1 >
       r.remaining() / sizeof(std::uint64_t)) {
-    reject(ShardReject::malformed, what + " row count exceeds payload size");
+    reject(FrameReject::malformed, what, "row count exceeds payload size");
   }
-  std::vector<nnz_t> row_ptr;
-  row_ptr.reserve(static_cast<std::size_t>(rows) + 1);
-  for (index_t u = 0; u <= rows; ++u) {
-    row_ptr.push_back(r.get<std::uint64_t>());
-  }
-  std::vector<index_t> col_idx;
-  col_idx.reserve(nnz);
-  for (std::uint64_t k = 0; k < nnz; ++k) {
-    col_idx.push_back(r.get<std::uint32_t>());
-  }
-  std::vector<real_t> values;
-  values.reserve(nnz);
-  for (std::uint64_t k = 0; k < nnz; ++k) {
-    values.push_back(r.get_f32());
-  }
-  if (r.remaining() != 0) {
-    reject(ShardReject::malformed, what + " has trailing bytes");
-  }
+  std::vector<nnz_t> row_ptr(static_cast<std::size_t>(rows) + 1);
+  r.get_array(row_ptr);
+  std::vector<index_t> col_idx(nnz);
+  r.get_array(col_idx);
+  std::vector<real_t> values(nnz);
+  r.get_array(values);
+  r.expect_end();
   try {
     // from_parts re-validates the structural invariants (monotone row_ptr
     // spanning [0, nnz], columns < cols); a CRC-valid file that fails them
@@ -266,7 +68,7 @@ CsrTile parse_tile_payload(std::string_view payload,
     tile.csr = CsrMatrix::from_parts(rows, cols, std::move(row_ptr),
                                      std::move(col_idx), std::move(values));
   } catch (const CheckError& e) {
-    reject(ShardReject::malformed, what + ": " + e.what());
+    reject(FrameReject::malformed, what, e.what());
   }
   return tile;
 }
@@ -303,8 +105,8 @@ std::string render_meta_payload(const ShardMeta& meta) {
   w.put<std::uint32_t>(meta.cols);
   w.put<std::uint64_t>(meta.train_nnz);
   w.put<std::uint64_t>(meta.test_nnz);
-  w.put_f64(meta.mean);
-  w.put_f64(meta.test_fraction);
+  w.put(meta.mean);
+  w.put(meta.test_fraction);
   w.put<std::uint64_t>(meta.seed);
   put_tile_table(w, meta.row_tiles);
   put_tile_table(w, meta.col_tiles);
@@ -312,20 +114,18 @@ std::string render_meta_payload(const ShardMeta& meta) {
 }
 
 ShardMeta parse_meta_payload(std::string_view payload) {
-  ByteReader r(payload);
+  ByteReader r(payload, kMetaWhat);
   ShardMeta meta;
   meta.rows = r.get<std::uint32_t>();
   meta.cols = r.get<std::uint32_t>();
   meta.train_nnz = r.get<std::uint64_t>();
   meta.test_nnz = r.get<std::uint64_t>();
-  meta.mean = r.get_f64();
-  meta.test_fraction = r.get_f64();
+  meta.mean = r.get<double>();
+  meta.test_fraction = r.get<double>();
   meta.seed = r.get<std::uint64_t>();
   meta.row_tiles = get_tile_table(r);
   meta.col_tiles = get_tile_table(r);
-  if (r.remaining() != 0) {
-    reject(ShardReject::malformed, "meta has trailing bytes");
-  }
+  r.expect_end();
   return meta;
 }
 
@@ -338,13 +138,13 @@ std::string render_test_payload(const RatingsCoo& test) {
   for (const Rating& e : test.entries()) {
     w.put<std::uint32_t>(e.u);
     w.put<std::uint32_t>(e.v);
-    w.put_f32(e.r);
+    w.put(e.r);
   }
   return payload;
 }
 
 RatingsCoo parse_test_payload(std::string_view payload) {
-  ByteReader r(payload);
+  ByteReader r(payload, kTestWhat);
   const auto rows = r.get<std::uint32_t>();
   const auto cols = r.get<std::uint32_t>();
   const auto nnz = r.get_count(12);  // u, v, f32 bits per entry
@@ -353,15 +153,13 @@ RatingsCoo parse_test_payload(std::string_view payload) {
   for (std::uint64_t k = 0; k < nnz; ++k) {
     const auto u = r.get<std::uint32_t>();
     const auto v = r.get<std::uint32_t>();
-    const float val = r.get_f32();
+    const auto val = r.get<float>();
     if (u >= rows || v >= cols) {
-      reject(ShardReject::malformed, "test entry index out of range");
+      reject(FrameReject::malformed, kTestWhat, "entry index out of range");
     }
     test.add(u, v, val);
   }
-  if (r.remaining() != 0) {
-    reject(ShardReject::malformed, "test set has trailing bytes");
-  }
+  r.expect_end();
   return test;
 }
 
@@ -398,7 +196,8 @@ std::vector<TileRange> write_view_tiles(const std::string& dir,
     tile.csr = CsrMatrix::from_parts(end - begin, csr.cols(),
                                      std::move(row_ptr), std::move(col_idx),
                                      std::move(values));
-    const std::string bytes = frame(kTileMagic, render_tile_payload(tile));
+    const std::string bytes =
+        frame(kTileMagic, kShardVersion, render_tile_payload(tile));
     atomic_write_file(tile_path(dir, view, t), bytes);
     table.push_back(TileRange{begin, end, tile.csr.nnz(),
                               static_cast<std::uint64_t>(bytes.size())});
@@ -407,26 +206,6 @@ std::vector<TileRange> write_view_tiles(const std::string& dir,
 }
 
 }  // namespace
-
-const char* to_string(ShardReject reason) {
-  switch (reason) {
-    case ShardReject::io:
-      return "unreadable";
-    case ShardReject::bad_magic:
-      return "not a cumf shard file (bad magic)";
-    case ShardReject::version_skew:
-      return "incompatible format version";
-    case ShardReject::truncated:
-      return "truncated (torn write?)";
-    case ShardReject::bad_crc:
-      return "corrupted (CRC mismatch)";
-    case ShardReject::malformed:
-      return "malformed payload";
-    case ShardReject::mismatch:
-      return "belongs to a different tile or shard store";
-  }
-  return "unknown rejection";
-}
 
 const char* to_string(TileView view) {
   return view == TileView::by_row ? "by_row" : "by_col";
@@ -481,63 +260,43 @@ ShardMeta write_shards(const std::string& dir, const RatingsCoo& all,
 
   const std::string test_file =
       (std::filesystem::path(dir) / kShardTestFile).string();
-  atomic_write_file(test_file,
-                    frame(kShardTestMagic, render_test_payload(split.test)));
+  atomic_write_file(test_file, frame(kShardTestMagic, kShardVersion,
+                                    render_test_payload(split.test)));
   const std::string meta_file =
       (std::filesystem::path(dir) / kShardMetaFile).string();
-  atomic_write_file(meta_file,
-                    frame(kShardMetaMagic, render_meta_payload(meta)));
+  atomic_write_file(meta_file, frame(kShardMetaMagic, kShardVersion,
+                                    render_meta_payload(meta)));
   return meta;
 }
 
 ShardMeta read_shard_meta(const std::string& dir) {
-  const std::string path =
-      (std::filesystem::path(dir) / kShardMetaFile).string();
-  std::string bytes;
-  read_whole_file(path, bytes);
-  return parse_meta_payload(unframe(kShardMetaMagic, bytes, "meta"));
+  const std::string bytes =
+      read_file((std::filesystem::path(dir) / kShardMetaFile).string());
+  return parse_meta_payload(
+      unframe(kShardMetaMagic, kShardVersion, bytes, kMetaWhat));
 }
 
 RatingsCoo read_shard_test(const std::string& dir) {
-  const std::string path =
-      (std::filesystem::path(dir) / kShardTestFile).string();
-  std::string bytes;
-  read_whole_file(path, bytes);
-  return parse_test_payload(unframe(kShardTestMagic, bytes, "test set"));
+  const std::string bytes =
+      read_file((std::filesystem::path(dir) / kShardTestFile).string());
+  return parse_test_payload(
+      unframe(kShardTestMagic, kShardVersion, bytes, kTestWhat));
 }
 
 CsrTile load_tile(const std::string& dir, TileView view, std::size_t index,
-                  const TileRange& expected, bool use_mmap,
-                  std::string* staging) {
+                  const TileRange& expected, std::string* staging) {
   const std::string path = tile_path(dir, view, index);
   const std::string what = "tile '" + path + "'";
-  CsrTile tile;
-#ifdef CUMF_HAVE_MMAP
-  if (use_mmap) {
-    MappedFile map(path);
-    if (map.valid()) {
-      tile = parse_tile_payload(unframe(kTileMagic, map.view(), what), what);
-    } else {
-      std::string local;
-      std::string& buf = staging != nullptr ? *staging : local;
-      read_whole_file(path, buf);
-      tile = parse_tile_payload(unframe(kTileMagic, buf, what), what);
-    }
-  } else
-#else
-  (void)use_mmap;
-#endif
-  {
-    std::string local;
-    std::string& buf = staging != nullptr ? *staging : local;
-    read_whole_file(path, buf);
-    tile = parse_tile_payload(unframe(kTileMagic, buf, what), what);
-  }
+  std::string local;
+  std::string& bytes = staging != nullptr ? *staging : local;
+  read_file(path, bytes);
+  CsrTile tile = parse_tile_payload(
+      unframe(kTileMagic, kShardVersion, bytes, what), what);
   if (tile.view != view || tile.index != index ||
       tile.row_begin != expected.row_begin ||
       tile.row_end != expected.row_end || tile.csr.nnz() != expected.nnz) {
-    reject(ShardReject::mismatch,
-           what + " is valid but does not match the meta table entry (" +
+    reject(FrameReject::mismatch, what,
+           std::string("does not match the meta table entry (") +
                to_string(view) + " #" + std::to_string(index) + ")");
   }
   return tile;
@@ -550,11 +309,8 @@ std::uint64_t tile_resident_bytes(const TileRange& range) {
 }
 
 TileCache::TileCache(std::string dir, ShardMeta meta,
-                     const TileCacheOptions& options)
-    : dir_(std::move(dir)),
-      meta_(std::move(meta)),
-      budget_(options.budget_bytes),
-      use_mmap_(options.use_mmap) {
+                     std::uint64_t budget_bytes)
+    : dir_(std::move(dir)), meta_(std::move(meta)), budget_(budget_bytes) {
   std::uint64_t largest = 0;
   for (const std::vector<TileRange>* table : {&meta_.row_tiles,
                                               &meta_.col_tiles}) {
@@ -590,7 +346,7 @@ std::shared_ptr<const CsrTile> TileCache::get(TileView view,
   // Load outside the lock: a prefetch miss must not stall concurrent hits.
   const auto t0 = std::chrono::steady_clock::now();
   auto tile = std::make_shared<const CsrTile>(
-      load_tile(dir_, view, index, table[index], use_mmap_, &staging));
+      load_tile(dir_, view, index, table[index], &staging));
   const double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();

@@ -5,19 +5,12 @@
 // ranges of both views (R for update-X, Rᵀ for update-Θ) and writes one
 // framed file per tile, the held-out test set, and a meta file carrying the
 // run fingerprint the out-of-core engine needs to start bit-identically to
-// an in-core run (shape, exact mean, seed, tile tables). Every file uses
-// the checkpoint framing discipline:
-//
-//   [0..8)   magic ("CUMFTILE" / "CUMFSHRD" / "CUMFTEST")
-//   [8..12)  u32 format version (kShardVersion)
-//   [12..20) u64 payload length
-//   [20..20+len) payload
-//   [..+4)   u32 CRC-32 of the payload
-//
-// written through atomic_write_file, so a crash mid-shard never leaves a
-// half-written tile under a valid name. The reader memory-maps each tile,
-// verifies the CRC before trusting a byte, and rejects damage with a named
-// ShardReject reason (same taxonomy as CkptReject).
+// an in-core run (shape, exact mean, seed, tile tables). Every file is one
+// frame (data/frame.hpp) with its own magic ("CUMFTILE" / "CUMFSHRD" /
+// "CUMFTEST") and kShardVersion, written through atomic_write_file, so a
+// crash mid-shard never leaves a half-written tile under a valid name. The
+// reader verifies the CRC before trusting a byte and rejects damage with a
+// FrameError naming its FrameReject reason.
 #pragma once
 
 #include <cstdint>
@@ -30,7 +23,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/check.hpp"
+#include "data/frame.hpp"
 #include "sparse/coo.hpp"
 #include "sparse/csr.hpp"
 
@@ -42,31 +35,6 @@ inline constexpr std::string_view kShardTestMagic = "CUMFTEST";
 inline constexpr std::uint32_t kShardVersion = 1;
 inline constexpr std::string_view kShardMetaFile = "shard-meta.bin";
 inline constexpr std::string_view kShardTestFile = "test.bin";
-
-/// Why a shard file was rejected (mirrors CkptReject so CLI diagnostics
-/// read the same for both artifact families).
-enum class ShardReject {
-  io,            ///< cannot open/read the file at all
-  bad_magic,     ///< not a cumf shard/tile file
-  version_skew,  ///< written by an incompatible format version
-  truncated,     ///< shorter than its header promises (torn write)
-  bad_crc,       ///< payload checksum mismatch (corruption)
-  malformed,     ///< CRC passed but the payload doesn't parse
-  mismatch,      ///< valid file, but not the tile/meta the caller asked for
-};
-
-const char* to_string(ShardReject reason);
-
-/// Thrown on any rejected shard file; carries the machine-readable reason.
-class ShardError : public CheckError {
- public:
-  ShardError(ShardReject reason, const std::string& what)
-      : CheckError(what), reason_(reason) {}
-  ShardReject reason() const noexcept { return reason_; }
-
- private:
-  ShardReject reason_;
-};
 
 /// Which half-sweep a tile feeds: rows of R (update-X) or rows of Rᵀ
 /// (update-Θ).
@@ -139,28 +107,22 @@ std::string tile_path(const std::string& dir, TileView view,
 /// True when `dir` contains a shard meta file (cumf_train's auto-detect).
 bool is_shard_dir(const std::string& dir);
 
-/// Reads and validates DIR/shard-meta.bin; throws ShardError.
+/// Reads and validates DIR/shard-meta.bin; throws FrameError.
 ShardMeta read_shard_meta(const std::string& dir);
 
-/// Reads and validates DIR/test.bin; throws ShardError.
+/// Reads and validates DIR/test.bin; throws FrameError.
 RatingsCoo read_shard_test(const std::string& dir);
 
-/// Loads one tile: maps (or reads) the file, checks magic/version/CRC,
-/// decodes, and cross-checks view/index/row-range/nnz against `expected`
-/// (reason `mismatch` when the file is valid but not the requested tile).
-/// `staging` is an optional reusable read buffer for the no-mmap path.
+/// Loads one tile: reads the file, checks magic/version/CRC, decodes, and
+/// cross-checks view/index/row-range/nnz against `expected` (reason
+/// `mismatch` when the file is valid but not the requested tile).
+/// `staging`, when given, is a reusable read buffer.
 CsrTile load_tile(const std::string& dir, TileView view, std::size_t index,
-                  const TileRange& expected, bool use_mmap = true,
-                  std::string* staging = nullptr);
+                  const TileRange& expected, std::string* staging = nullptr);
 
 /// Host bytes a decoded tile occupies (row_ptr + col_idx + values): the
 /// quantity the cache budget meters, distinct from TileRange::bytes (disk).
 std::uint64_t tile_resident_bytes(const TileRange& range);
-
-struct TileCacheOptions {
-  std::uint64_t budget_bytes = 0;  ///< hard resident-byte ceiling
-  bool use_mmap = true;            ///< false → buffered-read fallback path
-};
 
 /// Bounded LRU cache of decoded tiles, safe for the engine's compute thread
 /// and prefetch thread to share. A miss loads outside the lock (so a
@@ -173,9 +135,11 @@ struct TileCacheOptions {
 /// pinned-host-buffer discipline of a real H2D pipeline).
 class TileCache {
  public:
-  TileCache(std::string dir, ShardMeta meta, const TileCacheOptions& options);
+  /// `budget_bytes` is the hard resident-byte ceiling; it must admit the
+  /// largest tile.
+  TileCache(std::string dir, ShardMeta meta, std::uint64_t budget_bytes);
 
-  /// Returns the tile, loading it on a miss. Throws ShardError on damage.
+  /// Returns the tile, loading it on a miss. Throws FrameError on damage.
   std::shared_ptr<const CsrTile> get(TileView view, std::size_t index);
 
   struct Stats {
@@ -214,7 +178,6 @@ class TileCache {
   std::string dir_;
   ShardMeta meta_;
   std::uint64_t budget_ = 0;
-  bool use_mmap_ = true;
 
   mutable std::mutex mu_;
   std::list<Entry> lru_;  ///< front = most recent

@@ -4,14 +4,11 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <set>
 #include <utility>
 
-#include "common/crc32.hpp"
 #include "common/stopwatch.hpp"
 #include "common/thread_pool.hpp"
 #include "data/atomic_file.hpp"
@@ -396,26 +393,6 @@ std::vector<prof::Verdict> winner_verdicts(ModelContext& ctx,
 
 }  // namespace
 
-const char* to_string(TuneReject reason) {
-  switch (reason) {
-    case TuneReject::io:
-      return "io";
-    case TuneReject::bad_magic:
-      return "bad_magic";
-    case TuneReject::version_skew:
-      return "version_skew";
-    case TuneReject::truncated:
-      return "truncated";
-    case TuneReject::bad_crc:
-      return "bad_crc";
-    case TuneReject::malformed:
-      return "malformed";
-    case TuneReject::mismatch:
-      return "mismatch";
-  }
-  return "unknown";
-}
-
 std::vector<TuneChoice> enumerate_grid(const TuneRequest& req) {
   std::vector<TuneChoice> out;
   std::set<std::string> seen;
@@ -711,24 +688,7 @@ TunedConfig tune(const TuneRequest& req, const TuneInput& input,
 
 namespace {
 
-void append_u32(std::string& out, std::uint32_t v) {
-  char buf[sizeof v];
-  std::memcpy(buf, &v, sizeof v);
-  out.append(buf, sizeof v);
-}
-
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[sizeof v];
-  std::memcpy(buf, &v, sizeof v);
-  out.append(buf, sizeof v);
-}
-
-template <class T>
-T read_le(std::string_view bytes, std::size_t offset) {
-  T v;
-  std::memcpy(&v, bytes.data() + offset, sizeof v);
-  return v;
-}
+constexpr std::string_view kWhat = "tuned config";
 
 // -- a minimal JSON reader, just enough for our own writer's output --
 
@@ -752,8 +712,7 @@ struct JsonValue {
 };
 
 [[noreturn]] void malformed(const std::string& why) {
-  throw TuneError(TuneReject::malformed,
-                  "malformed tuned-config payload: " + why);
+  reject(FrameReject::malformed, kWhat, why);
 }
 
 void skip_ws(std::string_view s, std::size_t& pos) {
@@ -1066,44 +1025,12 @@ std::string tuned_config_payload(const TunedConfig& config) {
 }
 
 std::string serialize_tuned_config(const TunedConfig& config) {
-  const std::string payload = tuned_config_payload(config);
-  std::string out;
-  out.reserve(payload.size() + 24);
-  out.append(kTuneMagic);
-  append_u32(out, config.version);
-  append_u64(out, payload.size());
-  out.append(payload);
-  append_u32(out, crc32(payload));
-  return out;
+  return frame(kTuneMagic, kTuneVersion, tuned_config_payload(config));
 }
 
 TunedConfig parse_tuned_config(std::string_view bytes) {
-  constexpr std::size_t kHeader = 8 + 4 + 8;
-  if (bytes.size() < kHeader) {
-    throw TuneError(TuneReject::truncated,
-                    "tuned config shorter than its header");
-  }
-  if (bytes.substr(0, kTuneMagic.size()) != kTuneMagic) {
-    throw TuneError(TuneReject::bad_magic, "not a cumf tuned-config file");
-  }
-  const auto version = read_le<std::uint32_t>(bytes, 8);
-  if (version != kTuneVersion) {
-    throw TuneError(TuneReject::version_skew,
-                    "tuned-config version " + std::to_string(version) +
-                        " != supported " + std::to_string(kTuneVersion));
-  }
-  const auto length = read_le<std::uint64_t>(bytes, 12);
-  if (bytes.size() < kHeader + length + 4) {
-    throw TuneError(TuneReject::truncated,
-                    "tuned config shorter than its header promises");
-  }
-  const std::string_view payload = bytes.substr(kHeader, length);
-  const auto stored = read_le<std::uint32_t>(bytes, kHeader + length);
-  if (crc32(payload) != stored) {
-    throw TuneError(TuneReject::bad_crc,
-                    "tuned-config payload checksum mismatch");
-  }
-
+  const std::string_view payload =
+      unframe(kTuneMagic, kTuneVersion, bytes, kWhat);
   const JsonValue root = parse_json(payload);
   if (root.kind != JsonValue::Kind::object) {
     malformed("payload is not a JSON object");
@@ -1206,16 +1133,7 @@ void write_tuned_config_file(const std::string& path,
 }
 
 TunedConfig read_tuned_config_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) {
-    throw TuneError(TuneReject::io, "cannot open tuned config: " + path);
-  }
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (in.bad()) {
-    throw TuneError(TuneReject::io, "cannot read tuned config: " + path);
-  }
-  return parse_tuned_config(bytes);
+  return parse_tuned_config(read_file(path));
 }
 
 TunedConfig load_tuned_config(const std::string& path_or_dir,
@@ -1226,10 +1144,10 @@ TunedConfig load_tuned_config(const std::string& path_or_dir,
             tuned_config_filename(expected))
                .string();
     if (!std::filesystem::exists(path)) {
-      throw TuneError(TuneReject::io,
-                      "no tuned config for this device x dataset in " +
-                          path_or_dir + " (expected " +
-                          tuned_config_filename(expected) + ")");
+      throw FrameError(FrameReject::io,
+                       "no tuned config for this device x dataset in " +
+                           path_or_dir + " (expected " +
+                           tuned_config_filename(expected) + ")");
     }
   }
   TunedConfig config = read_tuned_config_file(path);
@@ -1252,8 +1170,8 @@ TunedConfig load_tuned_config(const std::string& path_or_dir,
     why = "lambda differs";
   }
   if (!why.empty()) {
-    throw TuneError(TuneReject::mismatch,
-                    "tuned config fingerprint mismatch: " + why);
+    throw FrameError(FrameReject::mismatch,
+                     "tuned config fingerprint mismatch: " + why);
   }
   return config;
 }

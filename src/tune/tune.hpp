@@ -25,11 +25,11 @@
 // only in the human-readable trace). Repeated runs and any tuner worker
 // count serialize byte-identical configs; tests/test_tune.cpp pins this.
 //
-// Persistence: versioned JSON payload inside the checkpoint CRC frame
-// (magic "CUMFTUNE" + u32 version + u64 length + payload + CRC-32), keyed
-// by a device x dataset fingerprint that `cumf_train --auto-tune`
-// validates before applying anything. Rejections reuse the checkpoint /
-// shard taxonomy (TuneReject) so the CLI can name the reason.
+// Persistence: versioned JSON payload inside the shared CRC frame
+// (data/frame.hpp, magic "CUMFTUNE", kTuneVersion), keyed by a device x
+// dataset fingerprint that `cumf_train --auto-tune` validates before
+// applying anything. Rejections are FrameErrors, so the CLI names the
+// FrameReject reason as it does for checkpoints and shard files.
 #pragma once
 
 #include <cstdint>
@@ -38,9 +38,9 @@
 #include <string_view>
 #include <vector>
 
-#include "common/check.hpp"
 #include "core/als.hpp"
 #include "core/kernel_stats.hpp"
+#include "data/frame.hpp"
 #include "data/shards.hpp"
 #include "gpusim/device.hpp"
 #include "prof/bottleneck.hpp"
@@ -53,34 +53,9 @@ namespace cumf::tune {
 inline constexpr std::string_view kTuneMagic = "CUMFTUNE";
 inline constexpr std::uint32_t kTuneVersion = 1;
 
-/// Why a tuned-config file was rejected (mirrors CkptReject / ShardReject).
-enum class TuneReject {
-  io,            ///< cannot open/read the file at all
-  bad_magic,     ///< not a cumf tuned-config file
-  version_skew,  ///< written by an incompatible format version
-  truncated,     ///< shorter than its header promises (torn write)
-  bad_crc,       ///< payload checksum mismatch (corruption)
-  malformed,     ///< CRC passed but the JSON payload doesn't parse
-  mismatch,      ///< valid config, but for a different device x dataset
-};
-
-const char* to_string(TuneReject reason);
-
-/// Thrown on any rejected tuned config; carries the machine-readable
-/// reason so callers can distinguish "corrupt file" from "wrong run".
-class TuneError : public CheckError {
- public:
-  TuneError(TuneReject reason, const std::string& what)
-      : CheckError(what), reason_(reason) {}
-  TuneReject reason() const noexcept { return reason_; }
-
- private:
-  TuneReject reason_;
-};
-
 /// The device x dataset x rank identity a tuned config is valid for.
 /// `cumf_train --auto-tune` recomputes this from its own inputs and
-/// rejects (TuneReject::mismatch) on any difference.
+/// rejects (FrameReject::mismatch) on any difference.
 struct TuneFingerprint {
   std::string device;       ///< gpusim DeviceSpec name
   std::uint32_t rows = 0;   ///< dataset rows (pre-split)
@@ -227,7 +202,7 @@ std::string tuned_config_payload(const TunedConfig& config);
 /// Renders the framed byte stream (magic, version, length, payload, CRC).
 std::string serialize_tuned_config(const TunedConfig& config);
 
-/// Parses and validates a framed byte stream; throws TuneError.
+/// Parses and validates a framed byte stream; throws FrameError.
 TunedConfig parse_tuned_config(std::string_view bytes);
 
 /// "tune-<device>-<rows>x<cols>-<nnz>-f<f>.bin", device lower-cased with
@@ -239,12 +214,12 @@ std::string tuned_config_filename(const TuneFingerprint& fp);
 void write_tuned_config_file(const std::string& path,
                              const TunedConfig& config);
 
-/// Reads and validates; throws TuneError (reason io if unreadable).
+/// Reads and validates; throws FrameError (reason io if unreadable).
 TunedConfig read_tuned_config_file(const std::string& path);
 
 /// Resolves `path_or_dir` (a config file, or a directory indexed by
 /// tuned_config_filename), reads it, and validates its fingerprint against
-/// `expected`; throws TuneError with reason mismatch naming the first
+/// `expected`; throws FrameError with reason mismatch naming the first
 /// differing field. This is the `cumf_train --auto-tune` entry point.
 TunedConfig load_tuned_config(const std::string& path_or_dir,
                               const TuneFingerprint& expected);

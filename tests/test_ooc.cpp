@@ -129,16 +129,33 @@ TEST(ShardStore, MetaAndTilesRoundTrip) {
   EXPECT_EQ(test.nnz(), meta.test_nnz);
 }
 
-// ---------- Rejection taxonomy ----------
-
-/// Byte-level surgery on a framed shard file. Payload starts at offset 20;
-/// the trailing 4 bytes are the payload CRC.
-std::string read_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  return {std::istreambuf_iterator<char>(is),
-          std::istreambuf_iterator<char>()};
+// The on-disk bytes of one tile, the meta and the test set, pinned by size
+// and CRC-32: a codec change that moves a single byte fails here.
+TEST(ShardStore, BytesArePinned) {
+  const std::string dir = temp_dir("shard_bytes");
+  write_shards(dir, tiny_ratings(), tiny_build());
+  struct Pin {
+    std::string path;
+    std::size_t size;
+    std::uint32_t crc;
+  };
+  const std::filesystem::path root(dir);
+  for (const Pin& pin :
+       {Pin{tile_path(dir, TileView::by_col, 1), 2753u, 0x073aef97u},
+        Pin{(root / kShardMetaFile).string(), 280u, 0x10d8401bu},
+        Pin{(root / kShardTestFile).string(), 1912u, 0x20c1b477u}}) {
+    const std::string bytes = read_file(pin.path);
+    EXPECT_EQ(bytes.size(), pin.size) << pin.path;
+    EXPECT_EQ(crc32(bytes), pin.crc) << pin.path;
+  }
+  std::filesystem::remove_all(dir);
 }
 
+// ---------- Rejection taxonomy ----------
+
+/// Byte-level surgery on a framed shard file (read back with the frame's
+/// read_file). Payload starts at offset 20; the trailing 4 bytes are the
+/// payload CRC.
 void write_file(const std::string& path, const std::string& bytes) {
   std::ofstream os(path, std::ios::binary | std::ios::trunc);
   os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
@@ -152,14 +169,14 @@ class ShardRejectTest : public ::testing::Test {
     tile_ = tile_path(dir_, TileView::by_row, 0);
   }
 
-  ShardReject load_reason() {
+  FrameReject load_reason() {
     try {
       load_tile(dir_, TileView::by_row, 0, meta_.row_tiles[0]);
-    } catch (const ShardError& e) {
+    } catch (const FrameError& e) {
       return e.reason();
     }
     ADD_FAILURE() << "tile unexpectedly accepted";
-    return ShardReject::io;
+    return FrameReject::io;
   }
 
   std::string dir_;
@@ -171,20 +188,20 @@ TEST_F(ShardRejectTest, PayloadCorruptionIsBadCrc) {
   std::string bytes = read_file(tile_);
   bytes[bytes.size() / 2] ^= 0x5a;  // mid-payload bit flips
   write_file(tile_, bytes);
-  EXPECT_EQ(load_reason(), ShardReject::bad_crc);
+  EXPECT_EQ(load_reason(), FrameReject::bad_crc);
 }
 
 TEST_F(ShardRejectTest, WrongMagicIsBadMagic) {
   std::string bytes = read_file(tile_);
   bytes.replace(0, 8, "NOTATILE");
   write_file(tile_, bytes);
-  EXPECT_EQ(load_reason(), ShardReject::bad_magic);
+  EXPECT_EQ(load_reason(), FrameReject::bad_magic);
 }
 
 TEST_F(ShardRejectTest, TornWriteIsTruncated) {
   const std::string bytes = read_file(tile_);
   write_file(tile_, bytes.substr(0, bytes.size() / 2));
-  EXPECT_EQ(load_reason(), ShardReject::truncated);
+  EXPECT_EQ(load_reason(), FrameReject::truncated);
 }
 
 TEST_F(ShardRejectTest, FutureVersionIsVersionSkew) {
@@ -192,7 +209,7 @@ TEST_F(ShardRejectTest, FutureVersionIsVersionSkew) {
   const std::uint32_t future = kShardVersion + 1;
   std::memcpy(bytes.data() + 8, &future, sizeof(future));
   write_file(tile_, bytes);
-  EXPECT_EQ(load_reason(), ShardReject::version_skew);
+  EXPECT_EQ(load_reason(), FrameReject::version_skew);
 }
 
 TEST_F(ShardRejectTest, ValidButWrongTileIsMismatch) {
@@ -201,7 +218,7 @@ TEST_F(ShardRejectTest, ValidButWrongTileIsMismatch) {
   std::filesystem::copy_file(
       tile_path(dir_, TileView::by_row, 1), tile_,
       std::filesystem::copy_options::overwrite_existing);
-  EXPECT_EQ(load_reason(), ShardReject::mismatch);
+  EXPECT_EQ(load_reason(), FrameReject::mismatch);
 }
 
 TEST_F(ShardRejectTest, CrcValidGarbagePayloadIsMalformed) {
@@ -213,33 +230,20 @@ TEST_F(ShardRejectTest, CrcValidGarbagePayloadIsMalformed) {
   const std::uint32_t fixed = crc32(0, bytes.data() + 20, payload_len);
   std::memcpy(bytes.data() + bytes.size() - 4, &fixed, sizeof(fixed));
   write_file(tile_, bytes);
-  EXPECT_EQ(load_reason(), ShardReject::malformed);
+  EXPECT_EQ(load_reason(), FrameReject::malformed);
 }
 
 TEST_F(ShardRejectTest, MissingFileIsIo) {
   std::filesystem::remove(tile_);
-  EXPECT_EQ(load_reason(), ShardReject::io);
+  EXPECT_EQ(load_reason(), FrameReject::io);
 }
 
 TEST_F(ShardRejectTest, ReasonsAreNamed) {
-  EXPECT_STREQ(to_string(ShardReject::bad_crc), "corrupted (CRC mismatch)");
-  EXPECT_STREQ(to_string(ShardReject::version_skew),
+  EXPECT_STREQ(to_string(FrameReject::bad_crc), "corrupted (CRC mismatch)");
+  EXPECT_STREQ(to_string(FrameReject::version_skew),
                "incompatible format version");
-  EXPECT_STREQ(to_string(ShardReject::mismatch),
-               "belongs to a different tile or shard store");
-}
-
-TEST_F(ShardRejectTest, BufferedReadPathRejectsToo) {
-  std::string bytes = read_file(tile_);
-  bytes[bytes.size() / 2] ^= 0x5a;
-  write_file(tile_, bytes);
-  try {
-    load_tile(dir_, TileView::by_row, 0, meta_.row_tiles[0],
-              /*use_mmap=*/false);
-    ADD_FAILURE() << "tile unexpectedly accepted";
-  } catch (const ShardError& e) {
-    EXPECT_EQ(e.reason(), ShardReject::bad_crc);
-  }
+  EXPECT_STREQ(to_string(FrameReject::mismatch),
+               "valid, but not the one expected");
 }
 
 // ---------- Block schedule ----------
@@ -270,11 +274,11 @@ TEST(TileCache, BudgetIsHardAndEvictionIsLru) {
 
   // Budget below the largest tile can never hold a working set: reject at
   // construction instead of thrashing.
-  EXPECT_THROW(TileCache(dir, meta, TileCacheOptions{largest - 1}),
+  EXPECT_THROW(TileCache(dir, meta, largest - 1),
                CheckError);
 
   // A two-tile budget streams the whole view while staying under budget.
-  TileCache cache(dir, meta, TileCacheOptions{2 * largest});
+  TileCache cache(dir, meta, 2 * largest);
   for (std::size_t pass = 0; pass < 2; ++pass) {
     for (std::size_t i = 0; i < meta.row_tiles.size(); ++i) {
       const auto tile = cache.get(TileView::by_row, i);
@@ -288,7 +292,7 @@ TEST(TileCache, BudgetIsHardAndEvictionIsLru) {
   EXPECT_GT(stats.bytes_loaded, 0u);
 
   // Everything fits → second pass is all hits.
-  TileCache big(dir, meta, TileCacheOptions{2 * total});
+  TileCache big(dir, meta, 2 * total);
   for (std::size_t i = 0; i < meta.row_tiles.size(); ++i) {
     (void)big.get(TileView::by_row, i);
   }
@@ -305,13 +309,12 @@ TEST(TileCache, BudgetIsHardAndEvictionIsLru) {
 struct OocCase {
   int workers;
   bool overlap;
-  bool use_mmap;
   bool tight_budget;
   SolverKind solver;
   AlsSchedule schedule = AlsSchedule::nnz_guided;
 };
 
-/// Prints a case as its readable name, e.g. w4_overlap_mmap_tight_cg32.
+/// Prints a case as its readable name, e.g. w4_overlap_tight_cg32.
 /// gtest would otherwise print the raw bytes of OocCase, padding included,
 /// and gtest_discover_tests builds the ctest name from this printout (a
 /// name generator would not help: CMake appends the printed parameter to
@@ -321,7 +324,6 @@ void PrintTo(const OocCase& c, std::ostream* os) {
                        : c.solver == SolverKind::CholeskyFp32 ? "cholesky"
                                                               : "cg32";
   *os << 'w' << c.workers << (c.overlap ? "_overlap" : "_sync")
-      << (c.use_mmap ? "_mmap" : "_buffered")
       << (c.tight_budget ? "_tight_" : "_roomy_") << solver
       << (c.schedule == AlsSchedule::static_rows ? "_static" : "");
 }
@@ -349,7 +351,6 @@ TEST_P(OocBitIdentity, MatchesInCoreAlsEngine) {
   OocOptions ooc;
   ooc.host_mem_bytes = c.tight_budget ? 2 * largest : std::uint64_t{1} << 30;
   ooc.overlap = c.overlap;
-  ooc.use_mmap = c.use_mmap;
   OocAlsEngine streamed(dir, options, ooc);
   EXPECT_EQ(streamed.overlap_active(), c.overlap);
 
@@ -373,13 +374,13 @@ TEST_P(OocBitIdentity, MatchesInCoreAlsEngine) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, OocBitIdentity,
     ::testing::Values(
-        OocCase{1, true, true, true, SolverKind::CgFp32},
-        OocCase{4, true, true, true, SolverKind::CgFp32},
-        OocCase{4, false, true, true, SolverKind::CgFp32},
-        OocCase{2, true, false, true, SolverKind::CgFp32},
-        OocCase{2, true, true, false, SolverKind::CgFp16},
-        OocCase{3, false, false, false, SolverKind::CholeskyFp32},
-        OocCase{3, true, true, true, SolverKind::CgFp32,
+        OocCase{1, true, true, SolverKind::CgFp32},
+        OocCase{4, true, true, SolverKind::CgFp32},
+        OocCase{4, false, true, SolverKind::CgFp32},
+        OocCase{2, true, true, SolverKind::CgFp32},
+        OocCase{2, true, false, SolverKind::CgFp16},
+        OocCase{3, false, false, SolverKind::CholeskyFp32},
+        OocCase{3, true, true, SolverKind::CgFp32,
                 AlsSchedule::static_rows}));
 
 TEST(OocEngine, RestoreContinuesBitIdentically) {

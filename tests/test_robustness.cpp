@@ -109,8 +109,8 @@ TEST(AtomicFile, ShortWriteFaultProducesDetectablyTruncatedFile) {
   try {
     read_checkpoint_file(path);
     FAIL() << "torn checkpoint must be rejected";
-  } catch (const CheckpointError& e) {
-    EXPECT_EQ(e.reason(), CkptReject::truncated);
+  } catch (const FrameError& e) {
+    EXPECT_EQ(e.reason(), FrameReject::truncated);
   }
   std::filesystem::remove(path);
 }
@@ -153,14 +153,14 @@ TrainCheckpoint sample_checkpoint() {
   return ckpt;
 }
 
-CkptReject reject_reason(const std::string& bytes) {
+FrameReject reject_reason(const std::string& bytes) {
   try {
     parse_checkpoint(bytes);
-  } catch (const CheckpointError& e) {
+  } catch (const FrameError& e) {
     return e.reason();
   }
   ADD_FAILURE() << "expected the checkpoint to be rejected";
-  return CkptReject::io;
+  return FrameReject::io;
 }
 
 TEST(Checkpoint, RoundTripIsBitExact) {
@@ -197,30 +197,38 @@ TEST(Checkpoint, RoundTripIsBitExact) {
   EXPECT_EQ(after.train_nnz, before.train_nnz);
 }
 
+// The on-disk bytes, pinned by size and CRC-32: a codec change that moves
+// a single byte of the format fails here, not at some later resume.
+TEST(Checkpoint, BytesArePinned) {
+  const std::string bytes = serialize_checkpoint(sample_checkpoint());
+  EXPECT_EQ(bytes.size(), 685u);
+  EXPECT_EQ(crc32(bytes), 0xd74e0194u);
+}
+
 TEST(Checkpoint, RejectsBadMagic) {
   std::string bytes = serialize_checkpoint(sample_checkpoint());
   bytes[0] = 'X';
-  EXPECT_EQ(reject_reason(bytes), CkptReject::bad_magic);
-  EXPECT_EQ(reject_reason("not a checkpoint at all"), CkptReject::bad_magic);
+  EXPECT_EQ(reject_reason(bytes), FrameReject::bad_magic);
+  EXPECT_EQ(reject_reason("not a checkpoint at all"), FrameReject::bad_magic);
 }
 
 TEST(Checkpoint, RejectsVersionSkew) {
   std::string bytes = serialize_checkpoint(sample_checkpoint());
   bytes[8] = static_cast<char>(bytes[8] + 1);
-  EXPECT_EQ(reject_reason(bytes), CkptReject::version_skew);
+  EXPECT_EQ(reject_reason(bytes), FrameReject::version_skew);
 }
 
 TEST(Checkpoint, RejectsTruncation) {
   const std::string bytes = serialize_checkpoint(sample_checkpoint());
   EXPECT_EQ(reject_reason(bytes.substr(0, bytes.size() / 2)),
-            CkptReject::truncated);
-  EXPECT_EQ(reject_reason(bytes.substr(0, 10)), CkptReject::truncated);
+            FrameReject::truncated);
+  EXPECT_EQ(reject_reason(bytes.substr(0, 10)), FrameReject::truncated);
 }
 
 TEST(Checkpoint, RejectsCorruptedPayload) {
   std::string bytes = serialize_checkpoint(sample_checkpoint());
   bytes[bytes.size() / 2] ^= 0x40;  // deep inside the payload
-  EXPECT_EQ(reject_reason(bytes), CkptReject::bad_crc);
+  EXPECT_EQ(reject_reason(bytes), FrameReject::bad_crc);
 }
 
 TEST(Checkpoint, FileRoundTripAndIoRejection) {
@@ -233,8 +241,8 @@ TEST(Checkpoint, FileRoundTripAndIoRejection) {
   try {
     read_checkpoint_file(path);
     FAIL() << "missing file must be rejected";
-  } catch (const CheckpointError& e) {
-    EXPECT_EQ(e.reason(), CkptReject::io);
+  } catch (const FrameError& e) {
+    EXPECT_EQ(e.reason(), FrameReject::io);
   }
 }
 

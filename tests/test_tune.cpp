@@ -216,14 +216,55 @@ TEST(TunePersist, RoundTripIsByteIdentical) {
   EXPECT_EQ(serialize_tuned_config(back), bytes);
 }
 
-TuneReject reject_reason(const std::string& bytes) {
+// The on-disk bytes of a hand-built config, pinned by size and CRC-32. A
+// tune() result would pin the build's floating-point contraction as well;
+// these fields are all exact in the payload's 12 significant digits.
+TEST(TunePersist, BytesArePinned) {
+  TunedConfig config;
+  config.fingerprint.device = "Maxwell Titan X";
+  config.fingerprint.rows = 120;
+  config.fingerprint.cols = 60;
+  config.fingerprint.nnz = 1600;
+  config.fingerprint.f = 16;
+  config.fingerprint.lambda = 0.25f;
+  config.choice.tile = 8;
+  config.choice.bin = 64;
+  config.choice.solver = SolverKind::CgFp16;
+  config.choice.fs = 4;
+  config.choice.schedule = AlsSchedule::static_rows;
+  config.choice.path = simd::KernelPath::simd;
+  config.choice.workers = 2;
+  config.choice.gpus = 2;
+  config.choice.link = "pcie3";
+  config.choice.ooc_host_bytes = 1 << 20;
+  config.model_epoch_s = 0.5;
+  config.default_epoch_s = 1.5;
+  config.mean_cg_iters = 3.25;
+  config.probe_rmse = 0.875;
+  config.candidates = 96;
+  config.pruned = 90;
+  config.finalists = 6;
+  prof::Verdict v;
+  v.phase = "get_hermitian";
+  v.bound = prof::Bound::dram;
+  v.arithmetic_intensity = 2.5;
+  v.pct_of_roof = 0.75;
+  v.headroom = 0.25;
+  v.wall_s = 0.0625;
+  config.verdicts.push_back(v);
+  const std::string bytes = serialize_tuned_config(config);
+  EXPECT_EQ(bytes.size(), 586u);
+  EXPECT_EQ(crc32(bytes), 0x3119f6d2u);
+}
+
+FrameReject reject_reason(const std::string& bytes) {
   try {
     (void)parse_tuned_config(bytes);
-  } catch (const TuneError& e) {
+  } catch (const FrameError& e) {
     return e.reason();
   }
   ADD_FAILURE() << "tampered config was accepted";
-  return TuneReject::io;
+  return FrameReject::io;
 }
 
 TEST(TunePersist, RejectionTaxonomy) {
@@ -233,19 +274,26 @@ TEST(TunePersist, RejectionTaxonomy) {
 
   std::string bad = good;
   bad[0] = 'X';
-  EXPECT_EQ(reject_reason(bad), TuneReject::bad_magic);
+  EXPECT_EQ(reject_reason(bad), FrameReject::bad_magic);
 
   bad = good;
   bad[8] = static_cast<char>(kTuneVersion + 1);  // version u32 LE at offset 8
-  EXPECT_EQ(reject_reason(bad), TuneReject::version_skew);
+  EXPECT_EQ(reject_reason(bad), FrameReject::version_skew);
 
-  EXPECT_EQ(reject_reason(good.substr(0, 10)), TuneReject::truncated);
+  EXPECT_EQ(reject_reason(good.substr(0, 10)), FrameReject::truncated);
   EXPECT_EQ(reject_reason(good.substr(0, good.size() - 3)),
-            TuneReject::truncated);
+            FrameReject::truncated);
+  // A length near 2^64 must not wrap the bounds check into a read before
+  // the buffer (u64 LE at offset 12).
+  for (const std::uint64_t len : {~std::uint64_t{0} - 20, ~std::uint64_t{0}}) {
+    bad = good;
+    std::memcpy(bad.data() + 12, &len, sizeof(len));
+    EXPECT_EQ(reject_reason(bad), FrameReject::truncated) << len;
+  }
 
   bad = good;
   bad[40] ^= 0x5a;  // flip a payload byte; frame stays intact
-  EXPECT_EQ(reject_reason(bad), TuneReject::bad_crc);
+  EXPECT_EQ(reject_reason(bad), FrameReject::bad_crc);
 
   // A frame whose CRC is valid but whose payload is not the expected JSON
   // must be rejected as malformed, for both non-JSON and wrong-shape JSON.
@@ -262,10 +310,10 @@ TEST(TunePersist, RejectionTaxonomy) {
     le(crc32(payload), 4);
     return out;
   };
-  EXPECT_EQ(reject_reason(frame("not json at all")), TuneReject::malformed);
+  EXPECT_EQ(reject_reason(frame("not json at all")), FrameReject::malformed);
   EXPECT_EQ(reject_reason(frame("{\"type\":\"wrong\"}")),
-            TuneReject::malformed);
-  EXPECT_EQ(reject_reason(frame("{}")), TuneReject::malformed);
+            FrameReject::malformed);
+  EXPECT_EQ(reject_reason(frame("{}")), FrameReject::malformed);
 }
 
 TEST(TunePersist, FileRoundTripAndDirectoryLookup) {
@@ -292,8 +340,8 @@ TEST(TunePersist, FileRoundTripAndDirectoryLookup) {
   try {
     (void)load_tuned_config(file, other);
     FAIL() << "fingerprint mismatch was accepted";
-  } catch (const TuneError& e) {
-    EXPECT_EQ(e.reason(), TuneReject::mismatch);
+  } catch (const FrameError& e) {
+    EXPECT_EQ(e.reason(), FrameReject::mismatch);
     EXPECT_NE(std::string(e.what()).find("f"), std::string::npos);
   }
 
@@ -301,8 +349,8 @@ TEST(TunePersist, FileRoundTripAndDirectoryLookup) {
   try {
     (void)load_tuned_config((dir / "nope.bin").string(), input.fingerprint);
     FAIL() << "missing file was accepted";
-  } catch (const TuneError& e) {
-    EXPECT_EQ(e.reason(), TuneReject::io);
+  } catch (const FrameError& e) {
+    EXPECT_EQ(e.reason(), FrameReject::io);
   }
   std::filesystem::remove_all(dir);
 }

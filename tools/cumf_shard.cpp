@@ -173,7 +173,7 @@ int main(int argc, char** argv) {
       return cmd_verify(argv[2]);
     }
     return usage();
-  } catch (const cumf::ShardError& e) {
+  } catch (const cumf::FrameError& e) {
     std::fprintf(stderr, "cumf_shard: rejected shard file (%s): %s\n",
                  cumf::to_string(e.reason()), e.what());
     return 1;

@@ -323,10 +323,10 @@ int run_explicit(AlsEngine& engine, const EngineModel& modeled,
           why = "holdout-split RNG state differs";
         }
         if (!why.empty()) {
-          throw CheckpointError(CkptReject::mismatch, why);
+          throw FrameError(FrameReject::mismatch, why);
         }
         resumed = std::move(ckpt);
-      } catch (const CheckpointError& e) {
+      } catch (const FrameError& e) {
         std::fprintf(stderr, "cumf_train: rejected checkpoint '%s': %s\n",
                      latest->c_str(), e.what());
         return 1;
@@ -1061,9 +1061,9 @@ int cmd_train(int argc, char** argv) {
     expected.lambda = static_cast<float>(lambda);
     try {
       tuned = tune::load_tuned_config(autotune_path, expected);
-    } catch (const tune::TuneError& e) {
+    } catch (const FrameError& e) {
       std::fprintf(stderr, "cumf_train: rejected tuned config [%s]: %s\n",
-                   tune::to_string(e.reason()), e.what());
+                   to_string(e.reason()), e.what());
       return 2;
     }
     const tune::TuneChoice& tc = tuned->choice;
