@@ -1,7 +1,8 @@
 // Table V: the paper's taxonomy of parallel MF solutions (SGD / ALS / CCD
 // on CPUs and GPUs), annotated with where each entry lives in this
-// repository — either as a faithful reimplementation or as a calibrated
-// time model. This is a documentation table; nothing is measured here.
+// repository — as a faithful reimplementation, as a calibrated time model,
+// or as an entry the paper names in Table V only and this repository does
+// not reproduce. This is a documentation table; nothing is measured here.
 #include <cstdio>
 
 #include "bench/bench_util.hpp"
@@ -14,7 +15,7 @@ int main() {
   Table t({"family", "system (paper ref)", "platform", "implemented as"});
   // --- SGD, CPU ---
   t.add_row({"SGD lock-free", "HogWild! [22]", "1 node",
-             "baselines/sgd_hogwild (racing threads)"});
+             "Table V only; not reproduced"});
   t.add_row({"SGD lock-free", "FactorBird [30], Petuum [5]", "multi-node",
              "host model only (gpusim::HostSpec)"});
   t.add_row({"SGD blocking", "DSGD [9]", "MapReduce",
@@ -38,7 +39,7 @@ int main() {
              "linalg/cg + core/solver (the paper builds on this idea)"});
   // --- ALS, GPU ---
   t.add_row({"ALS", "BIDMach [2]", "1 GPU",
-             "baselines/bidmach_als (generic-kernel model + engine)"});
+             "baselines/bidmach_als (kernel-throughput model, Fig. 7)"});
   t.add_row({"ALS", "HPC-ALS [8]", "1 GPU",
              "register/smem tiling without the paper's Solutions 2-4"});
   t.add_row({"ALS", "GPU-ALS [31]", "1-4 GPUs",
@@ -47,9 +48,9 @@ int main() {
              "core/ (the reproduction target)"});
   // --- CCD ---
   t.add_row({"CCD", "CCD++ [36]", "multi-core/node",
-             "baselines/ccd (functional engine)"});
+             "Table V only; not reproduced"});
   t.add_row({"CCD", "parallel CCD++ [20]", "1 GPU",
-             "ccd_gpu_epoch_seconds (time model)"});
+             "Table V only; not reproduced"});
   std::printf("%s", t.to_string().c_str());
   return 0;
 }

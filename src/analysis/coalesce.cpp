@@ -32,18 +32,6 @@ CoalesceReport lint_load_trace(
   return report;
 }
 
-CoalesceReport lint_hermitian_load(
-    const gpusim::DeviceSpec& dev, const gpusim::TraceConfig& config,
-    std::span<const std::vector<index_t>> rows_per_block,
-    const CoalesceBudget& budget) {
-  std::vector<std::vector<gpusim::WarpInstruction>> streams;
-  streams.reserve(rows_per_block.size());
-  for (const auto& cols : rows_per_block) {
-    streams.push_back(gpusim::hermitian_load_trace(dev, config, cols));
-  }
-  return lint_load_trace(streams, budget);
-}
-
 std::string CoalesceReport::summary() const {
   std::ostringstream os;
   if (clean()) {

@@ -49,11 +49,4 @@ CoalesceReport lint_load_trace(
     std::span<const std::vector<gpusim::WarpInstruction>> blocks,
     const CoalesceBudget& budget = {});
 
-/// Convenience: builds the hermitian load-phase trace for each row's column
-/// set and lints it.
-CoalesceReport lint_hermitian_load(
-    const gpusim::DeviceSpec& dev, const gpusim::TraceConfig& config,
-    std::span<const std::vector<index_t>> rows_per_block,
-    const CoalesceBudget& budget = {});
-
 }  // namespace cumf::analysis

@@ -22,7 +22,7 @@
 //                 through the *same* lint_load_trace budget as the dynamic
 //                 lint; on the gpusim load schemes the static stream is
 //                 instruction-for-instruction identical to the dynamic
-//                 trace (see hermitian_load_plan + the differential tests).
+//                 trace (see the differential tests in test_cuverify).
 //   bank        — shared accesses are grouped the same way; a warp
 //                 instruction whose lanes hit one 4-byte-word bank with more
 //                 than `max_bank_way` distinct words is flagged (same-word
@@ -122,13 +122,5 @@ VerifyReport verify(const AccessPlan& plan, const VerifyOptions& options = {});
 /// gpusim::hermitian_load_trace output.
 std::vector<gpusim::WarpInstruction> plan_warp_instructions(
     const AccessPlan& plan, unsigned block, const gpusim::DeviceSpec& dev);
-
-/// Static mirror of gpusim::hermitian_load_trace: an AccessPlan whose warp
-/// instructions reproduce scheme (a)/(b) of the paper's load phase for the
-/// given column set. The differential tests assert per-instruction equality
-/// against the dynamic trace and against gpusim cache counters.
-AccessPlan hermitian_load_plan(const gpusim::DeviceSpec& dev,
-                               const gpusim::TraceConfig& config,
-                               std::span<const index_t> cols);
 
 }  // namespace cumf::analysis::cuverify

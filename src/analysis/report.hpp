@@ -1,9 +1,8 @@
 // Shared finding format for the analysis layer.
 //
-// Both gates of cumf_train — the dynamic `--cucheck` precheck and the static
-// `--cuverify` pregate — and the standalone `tools/cuslint` auditor emit
-// their results as Findings with one severity scale, so reports compose and
-// the exit-code convention is uniform:
+// cumf_train's static `--cuverify` pregate and the standalone
+// `tools/cuslint` auditor emit their results as Findings with one severity
+// scale, so reports compose and the exit-code convention is uniform:
 //
 //   exit 0 — no error-severity findings (warnings/info may be present)
 //   exit 1 — at least one error-severity finding (or a runtime failure)

@@ -9,25 +9,4 @@ double bidmach_hermitian_flops(const gpusim::DeviceSpec& dev) {
   return dev.peak_flops * kBidmachFractionOfPeak;
 }
 
-double bidmach_epoch_seconds(const gpusim::DeviceSpec& dev, double m,
-                             double n, double nnz, int f) {
-  const double ff = f;
-  // Generic SpMM forms the full (non-symmetric) A_u: 2·Nz·f² FLOPs per
-  // half-sweep, both halves per epoch, plus an exact dense solve.
-  const double herm_flops = 2.0 * (2.0 * nnz * ff * ff);
-  const double solve_flops = (m + n) * (2.0 / 3.0) * ff * ff * ff;
-  return (herm_flops + solve_flops) / bidmach_hermitian_flops(dev);
-}
-
-AlsOptions bidmach_als_options(std::size_t f, real_t lambda,
-                               std::uint64_t seed) {
-  AlsOptions options;
-  options.f = f;
-  options.lambda = lambda;
-  options.solver.kind = SolverKind::CholeskyFp32;
-  options.tiled_hermitian = false;
-  options.seed = seed;
-  return options;
-}
-
 }  // namespace cumf

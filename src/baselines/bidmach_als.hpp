@@ -4,15 +4,11 @@
 // with a general SpMM-like kernel that is not specialized for the Hermitian
 // structure, no symmetry exploitation, no register tiling. The paper reports
 // its ALS kernel running at ~40 GFLOPS — an order of magnitude below
-// cuMF-ALS — and failing to reach the acceptable RMSE. We reproduce the
-// kernel-efficiency comparison; the functional engine (generic accumulation)
-// is the reference hermitian path, which is numerically sound, so the
-// "does not converge" aspect is reported as BIDMach's kernel-throughput gap.
+// cuMF-ALS — and failing to reach the acceptable RMSE, so only the kernel
+// throughput is reproduced (bench_fig7 prints it beside cuMF-ALS).
 #pragma once
 
-#include "core/als.hpp"
 #include "gpusim/device.hpp"
-#include "sparse/coo.hpp"
 
 namespace cumf {
 
@@ -20,14 +16,5 @@ namespace cumf {
 /// Calibrated to the paper's measurement (≈40 GFLOPS on Maxwell) and scaled
 /// across devices by peak-FLOPS ratio.
 double bidmach_hermitian_flops(const gpusim::DeviceSpec& dev);
-
-/// Simulated seconds for one BIDMach ALS epoch.
-double bidmach_epoch_seconds(const gpusim::DeviceSpec& dev, double m,
-                             double n, double nnz, int f);
-
-/// Functional BIDMach-style engine: generic (untiled) hermitian + exact
-/// Cholesky solve, i.e. what the generic matrix library composes to.
-AlsOptions bidmach_als_options(std::size_t f, real_t lambda,
-                               std::uint64_t seed = 1);
 
 }  // namespace cumf

@@ -56,13 +56,4 @@ void GpuSgd::run_epoch() {
   ++epochs_;
 }
 
-double GpuSgd::epoch_seconds(const gpusim::DeviceSpec& dev, int gpus) const {
-  return sgd_epoch_seconds(dev, static_cast<double>(train_.nnz()),
-                           static_cast<int>(options_.f),
-                           options_.half_precision, gpus,
-                           gpusim::LinkSpec::nvlink(),
-                           static_cast<double>(train_.rows()),
-                           static_cast<double>(train_.cols()));
-}
-
 }  // namespace cumf

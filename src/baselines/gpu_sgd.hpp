@@ -28,9 +28,6 @@ class GpuSgd {
   const Matrix& user_factors() const noexcept { return model_.x; }
   const Matrix& item_factors() const noexcept { return model_.theta; }
 
-  /// Simulated device seconds for one epoch on `dev` with `gpus` devices.
-  double epoch_seconds(const gpusim::DeviceSpec& dev, int gpus = 1) const;
-
  private:
   Options options_;
   RatingsCoo train_;

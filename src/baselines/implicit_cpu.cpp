@@ -6,20 +6,6 @@
 
 namespace cumf {
 
-ImplicitAlsOptions implicit_cpu_options(ImplicitCpuFlavor flavor,
-                                        std::size_t f, real_t lambda,
-                                        std::uint64_t seed) {
-  ImplicitAlsOptions options;
-  options.f = f;
-  options.lambda = lambda;
-  options.seed = seed;
-  options.solver.kind = flavor == ImplicitCpuFlavor::ImplicitLib
-                            ? SolverKind::CgFp32
-                            : SolverKind::CholeskyFp32;
-  options.solver.cg_fs = 3;  // `implicit` defaults to 3 CG steps
-  return options;
-}
-
 namespace {
 /// Fraction of the host's aggregate FLOP rate each library sustains,
 /// calibrated to the paper's §V-F per-iteration numbers (90 s / 360 s on

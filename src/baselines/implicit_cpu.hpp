@@ -5,8 +5,8 @@
 // trick with a CG inner solver on multiple threads, QMF solves exactly with
 // Cholesky and parallelizes more coarsely. The paper reports per-iteration
 // times of 90 s (implicit) and 360 s (QMF) against cuMF-ALS's 2.2 s on
-// Netflix-implicit. Functionally both reduce to ImplicitAlsEngine with the
-// corresponding solver; their times come from the host model.
+// Netflix-implicit. Functionally both reduce to ImplicitAlsEngine, so only
+// their per-iteration times are modelled, from the host model.
 #pragma once
 
 #include "core/implicit_als.hpp"
@@ -18,11 +18,6 @@ enum class ImplicitCpuFlavor {
   ImplicitLib,  ///< github.com/benfred/implicit: Gram trick + CG, OpenMP
   Qmf,          ///< github.com/quora/qmf: exact Cholesky per row
 };
-
-/// Functional engine options matching each library's solver choice.
-ImplicitAlsOptions implicit_cpu_options(ImplicitCpuFlavor flavor,
-                                        std::size_t f, real_t lambda,
-                                        std::uint64_t seed = 1);
 
 /// Modelled seconds per implicit-ALS iteration on the CPU host for a
 /// dataset of the given shape.

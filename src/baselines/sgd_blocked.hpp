@@ -2,9 +2,10 @@
 // Gemulla et al. KDD'11; paper §VI-A "blocking").
 //
 // R is divided into a workers×workers grid; blocks that share no rows or
-// columns update concurrently without conflicts, so unlike Hogwild this is
-// race-free by construction. Rounds follow the DSGD diagonal schedule. This
-// is the algorithm behind the paper's strongest CPU baseline (LIBMF).
+// columns update concurrently without conflicts, so unlike Hogwild! (which
+// lets workers race on shared rows) this is race-free by construction.
+// Rounds follow the DSGD diagonal schedule. This is the algorithm behind
+// the paper's strongest CPU baseline (LIBMF).
 #pragma once
 
 #include "baselines/sgd_common.hpp"

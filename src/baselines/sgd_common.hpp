@@ -1,11 +1,12 @@
 // Shared pieces of the SGD baselines (paper §II eq. (5) and §VI-A).
 //
-// All SGD variants — Hogwild, LIBMF-style blocked, NOMAD-style asynchronous,
-// and the GPU SGD model — share the same per-sample update rule and factor
-// model; they differ only in how parallel updates are scheduled.
+// All SGD variants — LIBMF-style blocked, NOMAD-style asynchronous, and the
+// GPU SGD model — share the same per-sample update rule and factor model;
+// they differ only in how parallel updates are scheduled. Every schedule
+// gives each factor row one writer at a time, so the updates below are plain
+// loads and stores.
 #pragma once
 
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -14,33 +15,6 @@
 #include "sparse/coo.hpp"
 
 namespace cumf {
-
-// Hogwild workers race on the factor rows by design (no locks, no ordering,
-// lost updates tolerated). Under ThreadSanitizer those accesses go through
-// relaxed atomic_ref so the deliberate race is benign by the standard instead
-// of a reported error; plain builds keep raw loads/stores so the update loops
-// stay vectorizable.
-#if defined(__SANITIZE_THREAD__)
-#define CUMF_TSAN_BUILD 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define CUMF_TSAN_BUILD 1
-#endif
-#endif
-
-#ifdef CUMF_TSAN_BUILD
-inline real_t racy_load(real_t* p) noexcept {
-  return std::atomic_ref<real_t>(*p).load(std::memory_order_relaxed);
-}
-inline void racy_add(real_t* p, real_t delta) noexcept {
-  std::atomic_ref<real_t> r(*p);
-  r.store(r.load(std::memory_order_relaxed) + delta,
-          std::memory_order_relaxed);
-}
-#else
-inline real_t racy_load(const real_t* p) noexcept { return *p; }
-inline void racy_add(real_t* p, real_t delta) noexcept { *p += delta; }
-#endif
 
 /// Learning-rate schedule. LIBMF's distinguishing feature (Chin et al.,
 /// PAKDD'15 — reference [3] of the paper) is the adaptive per-row schedule;
@@ -75,7 +49,6 @@ SgdModel make_sgd_model(index_t m, index_t n, const SgdOptions& options,
                         double rating_mean);
 
 /// One SGD step on sample (u, v, r) with learning rate `alpha` (eq. (5)).
-/// Deliberately unsynchronized: Hogwild callers race on purpose.
 inline void sgd_step(SgdModel& model, const Rating& s, real_t alpha,
                      real_t lambda) noexcept {
   const std::size_t f = model.x.cols();
@@ -83,14 +56,14 @@ inline void sgd_step(SgdModel& model, const Rating& s, real_t alpha,
   real_t* tv = model.theta.row(s.v).data();
   real_t pred = 0;
   for (std::size_t k = 0; k < f; ++k) {
-    pred += racy_load(xu + k) * racy_load(tv + k);
+    pred += xu[k] * tv[k];
   }
   const real_t err = s.r - pred;
   for (std::size_t k = 0; k < f; ++k) {
-    const real_t xk = racy_load(xu + k);
-    const real_t tk = racy_load(tv + k);
-    racy_add(xu + k, alpha * (err * tk - lambda * xk));
-    racy_add(tv + k, alpha * (err * xk - lambda * tk));
+    const real_t xk = xu[k];
+    const real_t tk = tv[k];
+    xu[k] += alpha * (err * tk - lambda * xk);
+    tv[k] += alpha * (err * xk - lambda * tk);
   }
 }
 
@@ -110,28 +83,26 @@ inline void sgd_step_adagrad(SgdModel& model, const Rating& s, real_t lr0,
   real_t* tv = model.theta.row(s.v).data();
   real_t pred = 0;
   for (std::size_t k = 0; k < f; ++k) {
-    pred += racy_load(xu + k) * racy_load(tv + k);
+    pred += xu[k] * tv[k];
   }
   const real_t err = s.r - pred;
 
   real_t gx_sq = 0;
   real_t gt_sq = 0;
-  const real_t ax =
-      lr0 / std::sqrt(real_t{1} + racy_load(&model.x_gsq[s.u]));
-  const real_t at =
-      lr0 / std::sqrt(real_t{1} + racy_load(&model.theta_gsq[s.v]));
+  const real_t ax = lr0 / std::sqrt(real_t{1} + model.x_gsq[s.u]);
+  const real_t at = lr0 / std::sqrt(real_t{1} + model.theta_gsq[s.v]);
   for (std::size_t k = 0; k < f; ++k) {
-    const real_t xk = racy_load(xu + k);
-    const real_t tk = racy_load(tv + k);
+    const real_t xk = xu[k];
+    const real_t tk = tv[k];
     const real_t gx = err * tk - lambda * xk;
     const real_t gt = err * xk - lambda * tk;
     gx_sq += gx * gx;
     gt_sq += gt * gt;
-    racy_add(xu + k, ax * gx);
-    racy_add(tv + k, at * gt);
+    xu[k] += ax * gx;
+    tv[k] += at * gt;
   }
-  racy_add(&model.x_gsq[s.u], gx_sq / static_cast<real_t>(f));
-  racy_add(&model.theta_gsq[s.v], gt_sq / static_cast<real_t>(f));
+  model.x_gsq[s.u] += gx_sq / static_cast<real_t>(f);
+  model.theta_gsq[s.v] += gt_sq / static_cast<real_t>(f);
 }
 
 /// Dispatches one update under the configured schedule. `alpha` is the

@@ -85,33 +85,6 @@ double Rng::normal(double mean, double stddev) noexcept {
   return mean + stddev * normal();
 }
 
-void Rng::jump() noexcept {
-  static constexpr std::uint64_t kJump[] = {
-      0x180EC6D33CFD0ABAull, 0xD5A61266F0C9392Cull,
-      0xA9582618E03FC9AAull, 0x39ABDC4529B1661Cull};
-  std::array<std::uint64_t, 4> acc{};
-  for (const std::uint64_t word : kJump) {
-    for (int bit = 0; bit < 64; ++bit) {
-      if (word & (std::uint64_t{1} << bit)) {
-        for (std::size_t i = 0; i < acc.size(); ++i) {
-          acc[i] ^= s_[i];
-        }
-      }
-      (*this)();
-    }
-  }
-  s_ = acc;
-  has_cached_normal_ = false;
-}
-
-Rng Rng::split(unsigned k) const noexcept {
-  Rng child = *this;
-  for (unsigned i = 0; i <= k; ++i) {
-    child.jump();
-  }
-  return child;
-}
-
 ZipfSampler::ZipfSampler(std::size_t n, double s) {
   CUMF_EXPECTS(n > 0, "Zipf support must be non-empty");
   CUMF_EXPECTS(s >= 0.0, "Zipf exponent must be non-negative");

@@ -47,13 +47,6 @@ class Rng {
   /// Normal with given mean and standard deviation.
   double normal(double mean, double stddev) noexcept;
 
-  /// Jump ahead 2^128 steps: yields an independent stream for a parallel
-  /// worker while preserving determinism.
-  void jump() noexcept;
-
-  /// Convenience: a generator `k` jumps ahead of `*this` (for worker k).
-  Rng split(unsigned k) const noexcept;
-
   /// Complete generator state, exposed so checkpoints can persist an Rng
   /// mid-stream and resume it bit-for-bit (xoshiro words plus the Box-Muller
   /// cached deviate — without the cache, a resumed normal() stream would

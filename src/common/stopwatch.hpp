@@ -1,6 +1,6 @@
 // Wall-clock stopwatch used by the CPU-side benchmark harness.
 //
-// Simulated GPU time lives elsewhere (gpusim::SimClock); this class measures
+// Modeled GPU seconds come from the gpusim cost model; this class measures
 // real host time for the parts of the evaluation that run natively.
 #pragma once
 

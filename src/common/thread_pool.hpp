@@ -1,7 +1,7 @@
 // A minimal fixed-size thread pool with a parallel_for primitive.
 //
-// The CPU baselines (LIBMF-style blocked SGD, NOMAD-style asynchronous SGD,
-// Hogwild) are genuinely multi-threaded algorithms; this pool gives them a
+// The CPU baselines (LIBMF-style blocked SGD, NOMAD-style asynchronous SGD)
+// are genuinely multi-threaded algorithms; this pool gives them a
 // shared-memory substrate. The pool also backs the functional execution of
 // "GPU" kernels: thread-blocks of the simulated device map onto pool tasks.
 #pragma once

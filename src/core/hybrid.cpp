@@ -88,8 +88,4 @@ void HybridEngine::rebatch() {
   streamed_ = RatingsCoo(all_.rows(), all_.cols());
 }
 
-real_t HybridEngine::predict(index_t u, index_t v) const {
-  return static_cast<real_t>(dot(x_.row(u), theta_.row(v)));
-}
-
 }  // namespace cumf

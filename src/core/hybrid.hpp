@@ -63,7 +63,6 @@ class HybridEngine {
 
   const Matrix& user_factors() const noexcept { return x_; }
   const Matrix& item_factors() const noexcept { return theta_; }
-  real_t predict(index_t u, index_t v) const;
 
   nnz_t observed_count() const noexcept { return streamed_.nnz(); }
   int batch_phases_run() const noexcept { return batch_phases_; }

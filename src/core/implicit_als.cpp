@@ -107,36 +107,6 @@ void ImplicitAlsEngine::run_epoch() {
   ++epochs_;
 }
 
-double ImplicitAlsEngine::dense_loss() const {
-  // Exact implicit objective over all cells. Observed cells are found via
-  // the CSR row structure; unobserved cells have p=0, c=1.
-  double loss = 0.0;
-  for (index_t u = 0; u < r_.rows(); ++u) {
-    const auto cols = r_.row_cols(u);
-    const auto vals = r_.row_vals(u);
-    std::size_t k = 0;
-    for (index_t v = 0; v < r_.cols(); ++v) {
-      const double pred = dot(x_.row(u), theta_.row(v));
-      double c = 1.0;
-      double p = 0.0;
-      if (k < cols.size() && cols[k] == v) {
-        c = 1.0 + alpha_ * static_cast<double>(vals[k]);
-        p = 1.0;
-        ++k;
-      }
-      loss += c * (p - pred) * (p - pred);
-    }
-  }
-  double reg = 0.0;
-  for (const real_t w : x_.data()) {
-    reg += static_cast<double>(w) * w;
-  }
-  for (const real_t w : theta_.data()) {
-    reg += static_cast<double>(w) * w;
-  }
-  return loss + options_.lambda * reg;
-}
-
 real_t ImplicitAlsEngine::score(index_t u, index_t v) const {
   return static_cast<real_t>(dot(x_.row(u), theta_.row(v)));
 }

@@ -34,10 +34,6 @@ class ImplicitAlsEngine {
   const Matrix& user_factors() const noexcept { return x_; }
   const Matrix& item_factors() const noexcept { return theta_; }
 
-  /// Implicit training loss: Σ_uv c_uv (p_uv − x_uᵀθ_v)² + λ(‖X‖²+‖Θ‖²),
-  /// evaluated exactly over all m·n cells — O(m·n·f), use on small data.
-  double dense_loss() const;
-
   /// Predicted preference score for (u, v).
   real_t score(index_t u, index_t v) const;
 

@@ -1,12 +1,11 @@
-// The paper's device kernels, written CUDA-style on the cusim SIMT layer.
+// Access plans of the paper's device kernels on the cusim SIMT layer.
 //
-// These are the shapes a CUDA port would take — one block per rating row
-// for get_hermitian (Fig. 2), one block per linear system for the batch CG
-// solver (Algorithm 1) with shared-memory tree reductions — executed
-// functionally. They are differential-tested against the direct host
-// implementations (core/hermitian, linalg/cg); being ~10x slower than the
-// direct loops, they serve as executable documentation and validation, not
-// as the training path.
+// The kernels themselves — get_hermitian with one block per rating row
+// (Fig. 2) and the batch CG solver with one block per linear system
+// (Algorithm 1) — run functionally in the tests (tests/cusim_kernels.hpp),
+// about 10x slower than the direct host loops the engines use. What ships
+// is their declared AccessPlans, which cuverify's static passes prove
+// without executing anything.
 #pragma once
 
 #include <cstdint>
@@ -18,31 +17,6 @@
 #include "sparse/csr.hpp"
 
 namespace cumf::cusim {
-
-struct HermitianBatchResult {
-  std::vector<real_t> a;  ///< m × f·f, row-major per system
-  std::vector<real_t> b;  ///< m × f
-};
-
-/// get_hermitian over every row of `r`: one block per row, one thread per
-/// lower-triangular tile pair, θ batches staged through shared memory with
-/// __syncthreads() between staging and accumulation (the Fig. 2 kernel).
-/// All memory traffic goes through cucheck's checked spans; pass `check`
-/// (see analysis/cucheck.hpp) to run the launch under race/memcheck.
-HermitianBatchResult hermitian_kernel_launch(const CsrMatrix& r,
-                                             const Matrix& theta,
-                                             real_t lambda, int tile,
-                                             int bin,
-                                             AccessObserver* check = nullptr);
-
-/// Batch CG (Algorithm 1): one block per system, one thread per row of A,
-/// dot products via shared-memory tree reduction. A is f×f per system
-/// (batch-contiguous); x carries warm starts and receives solutions.
-/// `check` as above.
-void cg_kernel_launch(std::size_t batch, std::size_t f,
-                      std::span<const real_t> a, std::span<const real_t> b,
-                      std::span<real_t> x, std::uint32_t fs, real_t eps,
-                      AccessObserver* check = nullptr);
 
 /// Inputs for the hermitian kernel's symbolic access plan. The plan models
 /// the launch for a *representative* row — normally the worst-case (max-nnz)
@@ -60,8 +34,8 @@ struct HermitianPlanParams {
 };
 
 /// The declared AccessPlan of hermitian_kernel_launch: same geometry, same
-/// buffers, one plan segment per barrier-delimited phase of the kernel
-/// above. cuverify's static passes consume this — never the kernel itself.
+/// buffers, one plan segment per barrier-delimited phase of the kernel.
+/// cuverify's static passes consume this — never the kernel itself.
 analysis::cuverify::AccessPlan hermitian_kernel_plan(
     const HermitianPlanParams& params);
 

@@ -1,30 +1,11 @@
 #include "data/io.hpp"
 
 #include <fstream>
-#include <sstream>
 #include <string>
 
 #include "common/check.hpp"
-#include "data/atomic_file.hpp"
 
 namespace cumf {
-
-void write_ratings(std::ostream& os, const RatingsCoo& ratings) {
-  os << ratings.rows() << ' ' << ratings.cols() << ' ' << ratings.nnz()
-     << '\n';
-  for (const Rating& e : ratings.entries()) {
-    os << e.u << ' ' << e.v << ' ' << e.r << '\n';
-  }
-}
-
-void write_ratings_file(const std::string& path, const RatingsCoo& ratings) {
-  std::ostringstream os;
-  write_ratings(os, ratings);
-  CUMF_ENSURES(os.good(), "ratings serialization failed: " + path);
-  // Temp-file + rename: a crash mid-write can't leave a half-written file
-  // where a reader (or a resumed run) expects a complete dataset.
-  atomic_write_file(path, os.str());
-}
 
 RatingsCoo read_ratings(std::istream& is) {
   index_t m = 0;

@@ -12,11 +12,8 @@
 
 namespace cumf {
 
-void write_ratings(std::ostream& os, const RatingsCoo& ratings);
-void write_ratings_file(const std::string& path, const RatingsCoo& ratings);
-
-/// Parses the format written by write_ratings. Throws CheckError on
-/// malformed input (bad header, out-of-range indices, truncated file).
+/// Parses the format above. Throws CheckError on malformed input (bad
+/// header, out-of-range indices, truncated file).
 RatingsCoo read_ratings(std::istream& is);
 RatingsCoo read_ratings_file(const std::string& path);
 

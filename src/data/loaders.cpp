@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <istream>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -132,15 +131,6 @@ struct FileCloser {
 };
 
 }  // namespace
-
-RatingsCoo load_ratings(std::istream& is, const LoaderOptions& options) {
-  RatingsParser parser(options);
-  std::string line;
-  while (std::getline(is, line)) {
-    parser.consume_line(line.data(), line.size());
-  }
-  return parser.finish();
-}
 
 RatingsCoo load_ratings_file(const std::string& path,
                              const LoaderOptions& options) {

@@ -9,7 +9,6 @@
 // lines, and reject malformed rows with a CheckError naming the line.
 #pragma once
 
-#include <iosfwd>
 #include <string>
 
 #include "sparse/coo.hpp"
@@ -28,9 +27,7 @@ struct LoaderOptions {
   bool one_based = false;
 };
 
-/// Parses the stream; matrix dimensions are the maxima seen plus one.
-RatingsCoo load_ratings(std::istream& is, const LoaderOptions& options);
-
+/// Parses the file; matrix dimensions are the maxima seen plus one.
 RatingsCoo load_ratings_file(const std::string& path,
                              const LoaderOptions& options);
 

@@ -392,11 +392,6 @@ TileCache::Stats TileCache::stats() const {
   return stats_;
 }
 
-void TileCache::reset_stats() {
-  std::lock_guard<std::mutex> lock(mu_);
-  stats_ = Stats{};
-}
-
 std::uint64_t TileCache::resident_bytes() const {
   std::lock_guard<std::mutex> lock(mu_);
   return resident_;

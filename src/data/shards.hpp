@@ -150,7 +150,6 @@ class TileCache {
     double load_seconds = 0.0;        ///< wall time inside tile loads
   };
   Stats stats() const;
-  void reset_stats();
 
   std::uint64_t resident_bytes() const;
   std::uint64_t budget_bytes() const noexcept { return budget_; }

@@ -99,18 +99,6 @@ bool CacheLevel::access(std::uint64_t address) {
   return hit;
 }
 
-void CacheLevel::flush() {
-  std::fill(tags_.begin(), tags_.end(), 0);
-  std::fill(orders_.begin(), orders_.end(), initial_order(config_.ways));
-  hits_ = misses_ = 0;
-}
-
-double CacheLevel::hit_rate() const noexcept {
-  const std::uint64_t total = hits_ + misses_;
-  return total == 0 ? 0.0
-                    : static_cast<double>(hits_) / static_cast<double>(total);
-}
-
 CacheHierarchy::CacheHierarchy(const CacheConfig& l1, const CacheConfig& l2,
                                bool l1_enabled)
     : l1_(l1), l2_(l2), l1_enabled_(l1_enabled) {}
@@ -147,12 +135,6 @@ std::uint64_t CacheHierarchy::served_by(MemLevel level) const {
       return from_dram_;
   }
   return 0;
-}
-
-void CacheHierarchy::flush() {
-  l1_.flush();
-  l2_.flush();
-  total_ = from_l1_ = from_l2_ = from_dram_ = 0;
 }
 
 }  // namespace cumf::gpusim

@@ -33,13 +33,10 @@ class CacheLevel {
   /// while the set is not full).
   bool access(std::uint64_t address);
 
-  void flush();
-
   std::int64_t sets() const noexcept { return sets_; }
   std::uint64_t hits() const noexcept { return hits_; }
   std::uint64_t misses() const noexcept { return misses_; }
   std::uint64_t accesses() const noexcept { return hits_ + misses_; }
-  double hit_rate() const noexcept;
 
  private:
   /// line % sets_. Line numbers and set counts below 2^32 take Lemire's
@@ -89,8 +86,6 @@ class CacheHierarchy {
   std::uint64_t served_by(MemLevel level) const;
   std::uint64_t accesses() const noexcept { return total_; }
   bool l1_enabled() const noexcept { return l1_enabled_; }
-
-  void flush();
 
  private:
   CacheLevel l1_;

@@ -111,14 +111,4 @@ double host_network_epoch_seconds(const HostSpec& host, double columns,
          host.network_latency_s * columns / 1000.0;
 }
 
-double host_als_epoch_seconds(const HostSpec& host, double nnz, double m,
-                              double n, int f) {
-  const double ff = static_cast<double>(f);
-  const double flops = nnz * ff * ff * 2.0 + (m + n) * ff * ff * ff / 3.0;
-  const double total_flops_rate = host.machines * host.cores_per_machine *
-                                  host.flops_per_core *
-                                  host.parallel_efficiency;
-  return flops / total_flops_rate;
-}
-
 }  // namespace cumf::gpusim

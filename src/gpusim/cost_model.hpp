@@ -80,9 +80,4 @@ double host_sgd_epoch_seconds(const HostSpec& host, double nnz, int f);
 double host_network_epoch_seconds(const HostSpec& host, double columns,
                                   int f);
 
-/// One ALS epoch on the host (for CPU-ALS reference points): dominated by
-/// Nz·f² hermitian FLOPs plus (m+n)·f³ solver FLOPs.
-double host_als_epoch_seconds(const HostSpec& host, double nnz, double m,
-                              double n, int f);
-
 }  // namespace cumf::gpusim

@@ -1,7 +1,6 @@
 #include "half/half.hpp"
 
 #include <bit>
-#include <ostream>
 
 namespace cumf {
 
@@ -85,52 +84,6 @@ float half::to_float(std::uint16_t bits) noexcept {
     f = sign;
   }
   return std::bit_cast<float>(f);
-}
-
-bool half::is_nan() const noexcept {
-  return (bits_ & kExpMask16) == kExpMask16 && (bits_ & kFracMask16) != 0;
-}
-
-bool half::is_inf() const noexcept {
-  return (bits_ & kExpMask16) == kExpMask16 && (bits_ & kFracMask16) == 0;
-}
-
-bool half::is_finite() const noexcept {
-  return (bits_ & kExpMask16) != kExpMask16;
-}
-
-bool half::is_subnormal() const noexcept { return (bits_ & kExpMask16) == 0; }
-
-half half::operator-() const noexcept {
-  return from_bits(static_cast<std::uint16_t>(bits_ ^ kSignMask16));
-}
-
-bool operator==(half a, half b) noexcept {
-  if (a.is_nan() || b.is_nan()) {
-    return false;
-  }
-  // +0 == -0
-  if (((a.bits_ | b.bits_) & ~kSignMask16) == 0) {
-    return true;
-  }
-  return a.bits_ == b.bits_;
-}
-
-half operator+(half a, half b) noexcept {
-  return half(static_cast<float>(a) + static_cast<float>(b));
-}
-half operator-(half a, half b) noexcept {
-  return half(static_cast<float>(a) - static_cast<float>(b));
-}
-half operator*(half a, half b) noexcept {
-  return half(static_cast<float>(a) * static_cast<float>(b));
-}
-half operator/(half a, half b) noexcept {
-  return half(static_cast<float>(a) / static_cast<float>(b));
-}
-
-std::ostream& operator<<(std::ostream& os, half h) {
-  return os << static_cast<float>(h);
 }
 
 }  // namespace cumf

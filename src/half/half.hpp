@@ -3,13 +3,12 @@
 // The paper stores the Hermitian matrices A_u in FP16 inside the CG solver to
 // halve memory traffic (Solution 4, §IV-B). We have no GPU half-precision
 // hardware, so this type reproduces the numerics in software: conversions use
-// round-to-nearest-even, subnormals are handled exactly, and arithmetic is
-// performed in float and rounded back — the same semantics as CUDA's __half
+// round-to-nearest-even and subnormals are handled exactly. It is a storage
+// format only — arithmetic widens to float — the semantics of CUDA's __half
 // when used as a storage format with float accumulation.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 
 namespace cumf {
 
@@ -32,20 +31,6 @@ class half {
   /// Widening conversion; exact for every finite half.
   explicit operator float() const noexcept { return to_float(bits_); }
 
-  bool is_nan() const noexcept;
-  bool is_inf() const noexcept;
-  bool is_finite() const noexcept;
-  /// True for zero and subnormal values (exponent field == 0).
-  bool is_subnormal() const noexcept;
-
-  half operator-() const noexcept;
-
-  friend bool operator==(half a, half b) noexcept;
-  friend bool operator!=(half a, half b) noexcept { return !(a == b); }
-  friend bool operator<(half a, half b) noexcept {
-    return static_cast<float>(a) < static_cast<float>(b);
-  }
-
   /// Largest finite half: 65504.
   static half max() noexcept { return from_bits(0x7BFF); }
   /// Smallest positive normal half: 2^-14.
@@ -54,8 +39,6 @@ class half {
   static half denorm_min() noexcept { return from_bits(0x0001); }
   /// Machine epsilon for half: 2^-10.
   static half epsilon() noexcept { return from_bits(0x1400); }
-  static half infinity() noexcept { return from_bits(0x7C00); }
-  static half quiet_nan() noexcept { return from_bits(0x7E00); }
 
   static std::uint16_t from_float(float value) noexcept;
   static float to_float(std::uint16_t bits) noexcept;
@@ -63,14 +46,5 @@ class half {
  private:
   std::uint16_t bits_ = 0;
 };
-
-// Arithmetic computes in float, then rounds the result back to half — the
-// storage-precision model used throughout the CG solver.
-half operator+(half a, half b) noexcept;
-half operator-(half a, half b) noexcept;
-half operator*(half a, half b) noexcept;
-half operator/(half a, half b) noexcept;
-
-std::ostream& operator<<(std::ostream& os, half h);
 
 }  // namespace cumf

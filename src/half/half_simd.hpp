@@ -2,8 +2,9 @@
 //
 // The CG-FP16 solver rounds its f² system through binary16 once per solve,
 // the fp16_staging mode of get_hermitian rounds every staged θ element, and
-// the half CG reads f² halves per matvec; this header provides the 8-wide
-// conversions they use, each bitwise equal to the scalar `half` class.
+// the half-storage CG the tests hold CG-FP16 to reads f² halves per matvec;
+// this header provides the 8-wide conversions they use, each bitwise equal
+// to the scalar `half` class.
 //
 // Pack and round trip: with F16C (and the vector-extension backend), one
 // vcvtps2ph with an immediate round-to-nearest-even packs 8 floats, and

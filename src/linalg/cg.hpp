@@ -3,19 +3,22 @@
 // This is the approximate-computing half of the paper's contribution: solving
 // A x = b with at most `fs` CG iterations costs O(fs·f²) instead of the LU
 // solver's O(f³); with fs ≪ f (the paper uses fs = 6 for f = 100) the ALS
-// epoch becomes 4x faster at the same final accuracy. The matrix A may be
-// stored in FP32 or FP16 — FP16 halves the bytes read by the dominant A·p
-// matvec (Solution 4), which doubles the effective memory bandwidth of this
-// memory-bound kernel. All arithmetic is performed in FP32 regardless of the
-// storage type, matching the GPU implementation.
+// epoch becomes 4x faster at the same final accuracy. The solvers are
+// templates over A's storage type T: the library instantiates T = float,
+// and CG-FP16 (Solution 4, FP16 storage halving the bytes of the dominant
+// A·p matvec) runs that instantiation on A rounded through binary16. The
+// tests instantiate T = half (tests/half_cg_oracle.hpp) as its bitwise
+// oracle. All arithmetic is performed in FP32 regardless of the storage
+// type, matching the GPU implementation; a storage type other than float
+// supplies load_as_float(T) and load8(const T*) in its own namespace, where
+// argument-dependent lookup finds them.
 //
-// Every per-iteration primitive — the gemv (with a fused 8-wide FP16 unpack
-// for half storage), both dot products, and the x/r/p updates — has a SIMD
-// and a scalar variant selected by the trailing KernelPath argument
-// (default: the configure-time choice). Elementwise updates are bitwise
-// identical across paths; the gemv/dot reductions accumulate in double on
-// both paths but the SIMD path sums lanes in parallel, so iterates agree to
-// reassociation error only.
+// Every per-iteration primitive — the gemv, both dot products, and the
+// x/r/p updates — has a SIMD and a scalar variant selected by the trailing
+// KernelPath argument (default: the configure-time choice). Elementwise
+// updates are bitwise identical across paths; the gemv/dot reductions
+// accumulate in double on both paths but the SIMD path sums lanes in
+// parallel, so iterates agree to reassociation error only.
 #pragma once
 
 #include <cmath>
@@ -25,8 +28,6 @@
 
 #include "common/check.hpp"
 #include "common/types.hpp"
-#include "half/half.hpp"
-#include "half/half_simd.hpp"
 #include "linalg/dense.hpp"
 #include "simd/vec.hpp"
 
@@ -60,9 +61,8 @@ inline constexpr double cg_matvec_abs_bound(std::size_t f, double a_abs,
   return static_cast<double>(f) * a_abs * v_abs;
 }
 
-/// Storage-precision conversion: float passes through, half widens.
+/// Storage-precision conversion of one element.
 inline float load_as_float(float v) noexcept { return v; }
-inline float load_as_float(half v) noexcept { return static_cast<float>(v); }
 
 /// Double-accumulated dot product on real_t spans (internal helper).
 double dot_d(std::span<const real_t> a, std::span<const real_t> b,
@@ -70,10 +70,9 @@ double dot_d(std::span<const real_t> a, std::span<const real_t> b,
 
 namespace detail {
 
-/// 8-lane load of the storage type: float loads directly, half goes through
-/// the vectorized unpack (bitwise identical to elementwise widening).
+/// 8-lane load of the storage type (bitwise identical to elementwise
+/// load_as_float).
 inline simd::vf8 load8(const float* p) noexcept { return simd::vf8::load(p); }
-inline simd::vf8 load8(const half* p) noexcept { return half_to_float8(p); }
 
 /// One gemv row's result from its vd8 accumulator: the lanes' pairwise sum,
 /// then the columns past the last full chunk in order.
@@ -192,7 +191,7 @@ inline void hadamard(std::size_t n, const real_t* d, const real_t* r,
 }  // namespace detail
 
 /// Solves A·x = b for symmetric positive definite A (n×n row-major, full
-/// storage, element type T ∈ {float, half}). `x` holds the initial guess on
+/// storage, element type T). `x` holds the initial guess on
 /// entry (warm start from the previous ALS sweep is the intended use) and the
 /// solution on exit.
 ///
@@ -342,17 +341,9 @@ extern template CgResult cg_solve<float>(std::size_t, std::span<const float>,
                                          std::span<const real_t>,
                                          std::span<real_t>, std::uint32_t,
                                          real_t, simd::KernelPath);
-extern template CgResult cg_solve<half>(std::size_t, std::span<const half>,
-                                        std::span<const real_t>,
-                                        std::span<real_t>, std::uint32_t,
-                                        real_t, simd::KernelPath);
 extern template CgResult pcg_solve<float>(std::size_t, std::span<const float>,
                                           std::span<const real_t>,
                                           std::span<real_t>, std::uint32_t,
                                           real_t, simd::KernelPath);
-extern template CgResult pcg_solve<half>(std::size_t, std::span<const half>,
-                                         std::span<const real_t>,
-                                         std::span<real_t>, std::uint32_t,
-                                         real_t, simd::KernelPath);
 
 }  // namespace cumf

@@ -1,7 +1,5 @@
 #include "linalg/dense.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <vector>
 
 namespace cumf {
@@ -94,24 +92,6 @@ void axpy(real_t alpha, std::span<const real_t> x, std::span<real_t> y,
   for (; i < x.size(); ++i) {
     y[i] += alpha * x[i];
   }
-}
-
-void scal(real_t alpha, std::span<real_t> x) {
-  for (real_t& xi : x) {
-    xi *= alpha;
-  }
-}
-
-double nrm2(std::span<const real_t> x) { return std::sqrt(dot(x, x)); }
-
-double max_abs_diff(std::span<const real_t> a, std::span<const real_t> b) {
-  CUMF_EXPECTS(a.size() == b.size(), "max_abs_diff: size mismatch");
-  double worst = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    worst = std::max(worst, std::abs(static_cast<double>(a[i]) -
-                                     static_cast<double>(b[i])));
-  }
-  return worst;
 }
 
 void symv(std::size_t n, std::span<const real_t> a,

@@ -83,15 +83,6 @@ void dot_rows(std::span<const real_t> x, const Matrix& a,
 void axpy(real_t alpha, std::span<const real_t> x, std::span<real_t> y,
           simd::KernelPath path = simd::kDefaultPath);
 
-/// x ← alpha * x
-void scal(real_t alpha, std::span<real_t> x);
-
-/// Euclidean norm.
-double nrm2(std::span<const real_t> x);
-
-/// Frobenius norm of (a − b); convenience for tests.
-double max_abs_diff(std::span<const real_t> a, std::span<const real_t> b);
-
 /// Dense symmetric matvec y = A·x where A is n×n row-major (full storage).
 void symv(std::size_t n, std::span<const real_t> a,
           std::span<const real_t> x, std::span<real_t> y,

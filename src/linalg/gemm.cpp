@@ -32,24 +32,4 @@ void gemm(std::size_t m, std::size_t n, std::size_t k, real_t alpha,
   }
 }
 
-void syrk(std::size_t n, std::size_t k, real_t alpha,
-          std::span<const real_t> a, real_t beta, std::span<real_t> c) {
-  CUMF_EXPECTS(a.size() == n * k, "syrk: A shape mismatch");
-  CUMF_EXPECTS(c.size() == n * n, "syrk: C shape mismatch");
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j <= i; ++j) {
-      double acc = 0.0;
-      for (std::size_t p = 0; p < k; ++p) {
-        acc += static_cast<double>(a[i * k + p]) *
-               static_cast<double>(a[j * k + p]);
-      }
-      const real_t value = static_cast<real_t>(
-          static_cast<double>(alpha) * acc +
-          static_cast<double>(beta) * static_cast<double>(c[i * n + j]));
-      c[i * n + j] = value;
-      c[j * n + i] = value;
-    }
-  }
-}
-
 }  // namespace cumf

@@ -1,9 +1,7 @@
-// Reference dense GEMM and SYRK kernels.
-//
-// These back the BIDMach-style generic ALS baseline and the cuBLAS
-// gemmBatched comparison of Fig. 7a. They are straightforward cache-blocked
-// loops — correctness and countable work, not peak CPU throughput, is the
-// goal (device-time comes from the gpusim cost model).
+// Reference dense GEMM kernel (bench_kernels times it as the generic
+// dense-product baseline). A straightforward cache-blocked loop —
+// correctness and countable work, not peak CPU throughput, is the goal
+// (device-time comes from the gpusim cost model).
 #pragma once
 
 #include <span>
@@ -16,10 +14,5 @@ namespace cumf {
 void gemm(std::size_t m, std::size_t n, std::size_t k, real_t alpha,
           std::span<const real_t> a, std::span<const real_t> b, real_t beta,
           std::span<real_t> c);
-
-/// C ← alpha·A·Aᵀ + beta·C with A: n×k row-major, C: n×n (full storage,
-/// both triangles written). The building block of get_hermitian.
-void syrk(std::size_t n, std::size_t k, real_t alpha,
-          std::span<const real_t> a, real_t beta, std::span<real_t> c);
 
 }  // namespace cumf

@@ -1,6 +1,5 @@
 #include "metrics/convergence.hpp"
 
-#include <limits>
 #include <sstream>
 
 #include "common/check.hpp"
@@ -29,14 +28,6 @@ std::optional<int> ConvergenceTracker::epochs_to(double target_rmse) const {
     }
   }
   return std::nullopt;
-}
-
-double ConvergenceTracker::best_rmse() const {
-  double best = std::numeric_limits<double>::infinity();
-  for (const Point& p : points_) {
-    best = std::min(best, p.rmse);
-  }
-  return best;
 }
 
 std::string ConvergenceTracker::to_csv() const {

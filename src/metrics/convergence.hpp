@@ -29,8 +29,6 @@ class ConvergenceTracker {
   /// Epochs needed to reach the target; empty if never reached.
   std::optional<int> epochs_to(double target_rmse) const;
 
-  double best_rmse() const;
-
   /// Renders "seconds rmse" rows, one per epoch — the Fig. 6/8 series.
   std::string series(const std::string& label) const;
 

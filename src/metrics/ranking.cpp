@@ -109,70 +109,4 @@ std::vector<ScoredItem> recommend_top_k(const Matrix& x, const Matrix& theta,
   return top.take_sorted();
 }
 
-double auc_observed_vs_random(const Matrix& x, const Matrix& theta,
-                              const CsrMatrix& observed, std::size_t samples,
-                              Rng& rng) {
-  CUMF_EXPECTS(observed.nnz() > 0, "need observed interactions");
-  CUMF_EXPECTS(samples > 0, "need at least one sample");
-  std::size_t wins = 0;
-  std::size_t ties = 0;
-  std::size_t effective = 0;
-  for (std::size_t s = 0; s < samples; ++s) {
-    // Uniform observed pair via a uniform position in the CSR arrays.
-    const auto pos = rng.uniform_index(observed.nnz());
-    // Find its row by binary search over row_ptr.
-    const auto& ptr = observed.row_ptr();
-    const auto it = std::upper_bound(ptr.begin(), ptr.end(), pos);
-    const auto u = static_cast<index_t>(it - ptr.begin() - 1);
-    const index_t v = observed.col_idx()[pos];
-    // The negative must be genuinely unobserved for u: rejection-sample
-    // until the draw misses row_cols(u). A user who has rated every item
-    // has no negatives, so that draw is skipped rather than spun forever.
-    const auto rated = observed.row_cols(u);
-    if (rated.size() >= observed.cols()) {
-      continue;
-    }
-    index_t rv = 0;
-    do {
-      rv = static_cast<index_t>(rng.uniform_index(observed.cols()));
-    } while (std::binary_search(rated.begin(), rated.end(), rv));
-    const double pos_score = dot(x.row(u), theta.row(v));
-    const double neg_score = dot(x.row(u), theta.row(rv));
-    wins += pos_score > neg_score;
-    ties += pos_score == neg_score;
-    ++effective;
-  }
-  if (effective == 0) {
-    return 0.5;  // every user is saturated: no ranking question to ask
-  }
-  return (static_cast<double>(wins) + 0.5 * static_cast<double>(ties)) /
-         static_cast<double>(effective);
-}
-
-double precision_at_k(const Matrix& x, const Matrix& theta,
-                      const CsrMatrix& seen, const CsrMatrix& held_out,
-                      std::size_t k) {
-  CUMF_EXPECTS(seen.rows() == held_out.rows() &&
-                   seen.cols() == held_out.cols(),
-               "seen/held-out shape mismatch");
-  CUMF_EXPECTS(k > 0, "k must be positive");
-  double total = 0.0;
-  std::size_t users = 0;
-  for (index_t u = 0; u < seen.rows(); ++u) {
-    const auto relevant = held_out.row_cols(u);
-    if (relevant.empty()) {
-      continue;
-    }
-    const auto recs = recommend_top_k(x, theta, seen, u, k);
-    std::size_t hits = 0;
-    for (const ScoredItem& r : recs) {
-      hits += std::binary_search(relevant.begin(), relevant.end(), r.item);
-    }
-    total += static_cast<double>(hits) /
-             static_cast<double>(std::min(k, relevant.size()));
-    ++users;
-  }
-  return users == 0 ? 0.0 : total / static_cast<double>(users);
-}
-
 }  // namespace cumf

@@ -1,16 +1,14 @@
-// Ranking metrics and top-k recommendation.
+// Top-k recommendation.
 //
 // The implicit-feedback experiments (§V-F) are recommendation tasks: what
 // matters is the *order* of items, not the squared error. These helpers
-// compute top-k lists (excluding already-seen items), AUC against sampled
-// negatives, and precision@k against a held-out set.
+// compute top-k lists that exclude already-seen items.
 #pragma once
 
 #include <span>
 #include <utility>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "linalg/dense.hpp"
 #include "simd/vec.hpp"
 #include "sparse/csr.hpp"
@@ -109,21 +107,5 @@ class TopKSelector {
 std::vector<ScoredItem> recommend_top_k(const Matrix& x, const Matrix& theta,
                                         const CsrMatrix& seen, index_t user,
                                         std::size_t k);
-
-/// AUC estimate: probability that a random observed (u, v) pair outscores a
-/// random unobserved item for the same user. `samples` pairs are drawn;
-/// negatives are rejection-sampled so an item the user has rated is never
-/// counted as "unobserved" (draws for users who rated every item are
-/// skipped). Returns 0.5 when every draw was skipped.
-double auc_observed_vs_random(const Matrix& x, const Matrix& theta,
-                              const CsrMatrix& observed, std::size_t samples,
-                              Rng& rng);
-
-/// Mean precision@k: fraction of each user's top-k unseen recommendations
-/// that appear in that user's `held_out` row. Users with no held-out items
-/// are skipped; returns 0 if every user is skipped.
-double precision_at_k(const Matrix& x, const Matrix& theta,
-                      const CsrMatrix& seen, const CsrMatrix& held_out,
-                      std::size_t k);
 
 }  // namespace cumf

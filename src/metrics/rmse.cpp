@@ -26,26 +26,4 @@ double rmse(const RatingsCoo& entries, const Matrix& x, const Matrix& theta) {
   return std::sqrt(sq / static_cast<double>(entries.nnz()));
 }
 
-double regularized_loss(const RatingsCoo& entries, const Matrix& x,
-                        const Matrix& theta, double lambda) {
-  std::vector<index_t> row_nnz(entries.rows(), 0);
-  std::vector<index_t> col_nnz(entries.cols(), 0);
-  double sq = 0.0;
-  for (const Rating& e : entries.entries()) {
-    const double err =
-        static_cast<double>(e.r) - dot(x.row(e.u), theta.row(e.v));
-    sq += err * err;
-    ++row_nnz[e.u];
-    ++col_nnz[e.v];
-  }
-  double reg = 0.0;
-  for (index_t u = 0; u < entries.rows(); ++u) {
-    reg += row_nnz[u] * dot(x.row(u), x.row(u));
-  }
-  for (index_t v = 0; v < entries.cols(); ++v) {
-    reg += col_nnz[v] * dot(theta.row(v), theta.row(v));
-  }
-  return sq + lambda * reg;
-}
-
 }  // namespace cumf

@@ -13,9 +13,4 @@ real_t predict(const Matrix& x, const Matrix& theta, index_t u, index_t v);
 /// X is m×f, Θ is n×f. Returns 0 for an empty set.
 double rmse(const RatingsCoo& entries, const Matrix& x, const Matrix& theta);
 
-/// Squared-error objective of eq. (1): Σ (r−x·θ)² + λ Σ n_u‖x_u‖² +
-/// λ Σ n_v‖θ_v‖² — used by tests to assert monotone descent of ALS.
-double regularized_loss(const RatingsCoo& entries, const Matrix& x,
-                        const Matrix& theta, double lambda);
-
 }  // namespace cumf

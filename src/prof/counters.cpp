@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstdio>
 
 namespace cumf::prof {
 
@@ -59,17 +58,8 @@ void Histogram::merge(const Histogram& other) {
   }
 }
 
-void CounterRegistry::add(const std::string& name, double delta) {
-  counters_[name] += delta;
-}
-
 void CounterRegistry::observe(const std::string& name, double value) {
   histograms_[name].observe(value);
-}
-
-double CounterRegistry::value(const std::string& name) const {
-  const auto it = counters_.find(name);
-  return it == counters_.end() ? 0.0 : it->second;
 }
 
 const Histogram* CounterRegistry::histogram(const std::string& name) const {
@@ -78,75 +68,9 @@ const Histogram* CounterRegistry::histogram(const std::string& name) const {
 }
 
 void CounterRegistry::merge(const CounterRegistry& other) {
-  for (const auto& [name, v] : other.counters_) {
-    counters_[name] += v;
-  }
   for (const auto& [name, h] : other.histograms_) {
     histograms_[name].merge(h);
   }
-}
-
-void CounterRegistry::clear() {
-  counters_.clear();
-  histograms_.clear();
-}
-
-namespace {
-void append_number(std::string& out, double v) {
-  char buf[40];
-  if (std::isfinite(v)) {
-    std::snprintf(buf, sizeof buf, "%.12g", v);
-    out += buf;
-  } else {
-    out += "null";
-  }
-}
-}  // namespace
-
-std::string CounterRegistry::to_json() const {
-  std::string out = "{\"counters\":{";
-  bool first = true;
-  for (const auto& [name, v] : counters_) {
-    if (!first) {
-      out += ',';
-    }
-    first = false;
-    out += '"';
-    out += name;
-    out += "\":";
-    append_number(out, v);
-  }
-  out += "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, h] : histograms_) {
-    if (!first) {
-      out += ',';
-    }
-    first = false;
-    out += '"';
-    out += name;
-    out += "\":{\"count\":";
-    out += std::to_string(h.count());
-    out += ",\"sum\":";
-    append_number(out, h.sum());
-    out += ",\"mean\":";
-    append_number(out, h.mean());
-    out += ",\"buckets\":{";
-    bool first_bucket = true;
-    for (const auto& [key, n] : h.buckets()) {
-      if (!first_bucket) {
-        out += ',';
-      }
-      first_bucket = false;
-      out += '"';
-      out += std::to_string(key);
-      out += "\":";
-      out += std::to_string(n);
-    }
-    out += "}}";
-  }
-  out += "}}";
-  return out;
 }
 
 }  // namespace cumf::prof

@@ -1,13 +1,11 @@
-// cuprof counter & histogram registry.
+// cuprof histogram registry.
 //
-// Named scalar counters (monotonic sums) and sparse-bucket histograms,
-// snapshotted per epoch into the JSONL telemetry stream next to the
-// ConvergenceTracker RMSE points. The registry is a value type: workers
-// accumulate into private registries and the epoch loop merges them.
-// merge() is associative and commutative (sums and bucket-wise sums), so
-// any merge tree over any worker/schedule interleaving yields the same
-// snapshot — the property the scheduling-comparison telemetry relies on,
-// and one the tests check directly.
+// Named sparse-bucket histograms (cumf_serve and bench_serve record request
+// latencies in them). The registry is a value type: workers accumulate into
+// private registries and the caller merges them. merge() is associative and
+// commutative (bucket-wise sums), so any merge tree over any worker
+// interleaving yields the same snapshot — a property the tests check
+// directly.
 #pragma once
 
 #include <cstdint>
@@ -57,35 +55,17 @@ class Histogram {
 
 class CounterRegistry {
  public:
-  /// Adds `delta` to the named counter (created at 0).
-  void add(const std::string& name, double delta);
-
   /// Records one observation into the named histogram.
   void observe(const std::string& name, double value);
 
-  double value(const std::string& name) const;
   const Histogram* histogram(const std::string& name) const;
 
-  const std::map<std::string, double>& counters() const noexcept {
-    return counters_;
-  }
-  const std::map<std::string, Histogram>& histograms() const noexcept {
-    return histograms_;
-  }
-
-  /// Bucket-wise/element-wise merge; associative and commutative.
+  /// Bucket-wise merge; associative and commutative.
   void merge(const CounterRegistry& other);
-
-  void clear();
-
-  /// JSON object: {"counters":{...},"histograms":{name:{"count":..,
-  /// "sum":..,"mean":..,"buckets":{"6":123,...}}}}.
-  std::string to_json() const;
 
   bool operator==(const CounterRegistry& other) const noexcept = default;
 
  private:
-  std::map<std::string, double> counters_;
   std::map<std::string, Histogram> histograms_;
 };
 

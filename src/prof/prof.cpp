@@ -216,17 +216,6 @@ void Tracer::set_thread_name(const std::string& name) {
   buffer.set_name(name);
 }
 
-const char* Tracer::intern(const std::string& s) {
-  std::lock_guard lock(mutex_);
-  for (const auto& known : interned_) {
-    if (*known == s) {
-      return known->c_str();
-    }
-  }
-  interned_.push_back(std::make_unique<std::string>(s));
-  return interned_.back()->c_str();
-}
-
 void Tracer::counter(const char* name, double value) noexcept {
   Event e;
   e.kind = EventKind::kCounter;

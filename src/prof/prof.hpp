@@ -44,8 +44,7 @@ enum class EventKind : std::uint8_t {
 };
 
 /// One fixed-size trace record. `name`/`category` must point at
-/// static-lifetime strings (string literals, or Tracer::intern for runtime
-/// names) so recording never copies.
+/// static-lifetime strings (string literals) so recording never copies.
 struct Event {
   EventKind kind = EventKind::kSpan;
   const char* name = "";
@@ -139,10 +138,6 @@ class Tracer {
   /// Names the calling thread's track in the exported trace.
   void set_thread_name(const std::string& name);
 
-  /// Copies a runtime string into tracer-owned storage and returns a
-  /// pointer valid for the tracer's lifetime (for Event::name).
-  const char* intern(const std::string& s);
-
   /// Records a counter sample ("ph":"C" in the export) on this thread.
   void counter(const char* name, double value) noexcept;
 
@@ -166,9 +161,8 @@ class Tracer {
 
   static std::atomic<bool> enabled_;
   std::atomic<std::uint64_t> next_id_{1};
-  mutable std::mutex mutex_;  ///< registration, interning, export
+  mutable std::mutex mutex_;  ///< registration and export
   std::vector<std::unique_ptr<ThreadBuffer>> buffers_;
-  std::vector<std::unique_ptr<std::string>> interned_;
   std::size_t capacity_ = 0;
 };
 

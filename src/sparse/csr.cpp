@@ -114,21 +114,4 @@ CsrMatrix CsrMatrix::transposed() const {
   return t;
 }
 
-std::vector<index_t> CsrMatrix::row_degrees() const {
-  std::vector<index_t> deg(m_);
-  for (index_t u = 0; u < m_; ++u) {
-    deg[u] = static_cast<index_t>(row_ptr_[u + 1] - row_ptr_[u]);
-  }
-  return deg;
-}
-
-index_t CsrMatrix::max_row_degree() const noexcept {
-  index_t best = 0;
-  for (index_t u = 0; u < m_; ++u) {
-    best = std::max(best,
-                    static_cast<index_t>(row_ptr_[u + 1] - row_ptr_[u]));
-  }
-  return best;
-}
-
 }  // namespace cumf

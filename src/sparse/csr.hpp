@@ -49,12 +49,6 @@ class CsrMatrix {
   /// R → Rᵀ (i.e. the CSC view of R expressed as a CSR matrix).
   CsrMatrix transposed() const;
 
-  /// Per-row non-zero counts for all rows.
-  std::vector<index_t> row_degrees() const;
-
-  /// Maximum row degree (0 for an empty matrix).
-  index_t max_row_degree() const noexcept;
-
  private:
   index_t m_ = 0;
   index_t n_ = 0;

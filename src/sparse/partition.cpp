@@ -89,12 +89,4 @@ std::vector<std::vector<BlockGrid::BlockId>> BlockGrid::diagonal_schedule()
   return rounds;
 }
 
-nnz_t BlockGrid::total_entries() const noexcept {
-  nnz_t total = 0;
-  for (const auto& b : blocks_) {
-    total += b.size();
-  }
-  return total;
-}
-
 }  // namespace cumf

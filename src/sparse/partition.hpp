@@ -53,9 +53,6 @@ class BlockGrid {
   };
   std::vector<std::vector<BlockId>> diagonal_schedule() const;
 
-  /// Total entries over all blocks (== input nnz; invariant checked).
-  nnz_t total_entries() const noexcept;
-
  private:
   index_t m_ = 0;
   index_t n_ = 0;

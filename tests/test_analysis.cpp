@@ -11,14 +11,16 @@
 #include "analysis/coalesce.hpp"
 #include "analysis/cucheck.hpp"
 #include "analysis/fixtures.hpp"
-#include "analysis/precheck.hpp"
 #include "analysis/spans.hpp"
 #include "common/rng.hpp"
 #include "cusim/kernels.hpp"
 #include "data/generator.hpp"
 #include "gpusim/device.hpp"
+#include "gpusim/trace.hpp"
 #include "linalg/cg.hpp"
 #include "sparse/csr.hpp"
+
+#include "cusim_kernels.hpp"
 
 namespace cumf::analysis {
 namespace {
@@ -206,6 +208,19 @@ TEST(CucheckKernels, CheckedCgIsHazardFreeAndMatchesUnchecked) {
 
 // ---------- coalescing lint ----------
 
+/// Builds the hermitian load-phase trace of each row's column set and lints
+/// the streams, one per thread-block.
+CoalesceReport lint_hermitian_load(
+    const gpusim::DeviceSpec& dev, const gpusim::TraceConfig& config,
+    const std::vector<std::vector<index_t>>& rows_per_block,
+    const CoalesceBudget& budget) {
+  std::vector<std::vector<gpusim::WarpInstruction>> streams;
+  for (const auto& cols : rows_per_block) {
+    streams.push_back(gpusim::hermitian_load_trace(dev, config, cols));
+  }
+  return lint_load_trace(streams, budget);
+}
+
 TEST(CoalesceLint, FlagsInstructionsOverBudget) {
   std::vector<std::vector<gpusim::WarpInstruction>> blocks(1);
   blocks[0].push_back({{0, 128}});                       // 2 lines: fine
@@ -258,36 +273,6 @@ TEST(CoalesceLint, NonCoalescedHermitianLoadExceedsTightBudget) {
   EXPECT_GT(report.worst_lines, 4);
   EXPECT_LE(report.findings.size(), 8u);  // capped
   EXPECT_GE(report.flagged, report.findings.size());
-}
-
-// ---------- precheck (the cumf_train --cucheck gate) ----------
-
-TEST(Precheck, TrainingKernelsPassTheGate) {
-  SyntheticConfig cfg;
-  cfg.m = 50;
-  cfg.n = 32;
-  cfg.nnz = 700;
-  cfg.seed = 23;
-  const auto data = generate_synthetic(cfg);
-  const auto csr = CsrMatrix::from_coo(data.ratings);
-  const std::size_t f = 16;
-  Matrix theta(csr.cols(), f);
-  Rng rng(29);
-  for (auto& v : theta.data()) {
-    v = static_cast<real_t>(rng.normal(0.0, 0.1));
-  }
-
-  PrecheckConfig config;
-  config.max_rows = 16;
-  const PrecheckResult result = run_precheck(csr, theta, config);
-  EXPECT_TRUE(result.clean()) << result.summary();
-  EXPECT_TRUE(result.hermitian.clean());
-  EXPECT_TRUE(result.cg.clean());
-  EXPECT_GT(result.hermitian.stats.blocks, 0u);
-  EXPECT_GT(result.cg.stats.blocks, 0u);
-  EXPECT_GT(result.coalesce.instructions, 0u);
-  EXPECT_NE(result.summary().find("cucheck precheck: PASS"),
-            std::string::npos);
 }
 
 }  // namespace

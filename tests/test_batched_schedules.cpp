@@ -1,164 +1,12 @@
-// Tests for batched GEMM/solve, the AdaGrad learning-rate schedule, and the
-// parallel-CCD++-on-GPU time model.
+// Tests for the AdaGrad learning-rate schedule of the SGD baselines.
 #include <gtest/gtest.h>
 
-#include <vector>
-
-#include "baselines/als_plain.hpp"
-#include "baselines/ccd.hpp"
 #include "baselines/sgd_blocked.hpp"
-#include "baselines/sgd_hogwild.hpp"
-#include "common/rng.hpp"
-#include "core/batched_solve.hpp"
 #include "data/generator.hpp"
-#include "linalg/batched.hpp"
-#include "linalg/gemm.hpp"
 #include "metrics/rmse.hpp"
 
 namespace cumf {
 namespace {
-
-std::vector<real_t> random_values(std::size_t n, std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<real_t> v(n);
-  for (auto& x : v) {
-    x = static_cast<real_t>(rng.normal(0.0, 1.0));
-  }
-  return v;
-}
-
-// ---------- gemm_batched ----------
-
-TEST(GemmBatched, MatchesPerMatrixGemm) {
-  const std::size_t batch = 7;
-  const std::size_t m = 4;
-  const std::size_t n = 5;
-  const std::size_t k = 3;
-  const auto a = random_values(batch * m * k, 1);
-  const auto b = random_values(batch * k * n, 2);
-  std::vector<real_t> c(batch * m * n, 99.0f);
-  gemm_batched(batch, m, n, k, a, b, c);
-  for (std::size_t i = 0; i < batch; ++i) {
-    std::vector<real_t> expected(m * n, 0.0f);
-    gemm(m, n, k, 1.0f,
-         std::span<const real_t>(a).subspan(i * m * k, m * k),
-         std::span<const real_t>(b).subspan(i * k * n, k * n), 0.0f,
-         expected);
-    for (std::size_t j = 0; j < m * n; ++j) {
-      EXPECT_EQ(c[i * m * n + j], expected[j]) << "batch " << i;
-    }
-  }
-}
-
-TEST(GemmBatched, PoolExecutionIsIdentical) {
-  const std::size_t batch = 16;
-  const std::size_t d = 6;
-  const auto a = random_values(batch * d * d, 3);
-  const auto b = random_values(batch * d * d, 4);
-  std::vector<real_t> serial(batch * d * d, 0.0f);
-  std::vector<real_t> parallel(batch * d * d, 0.0f);
-  gemm_batched(batch, d, d, d, a, b, serial);
-  ThreadPool pool(3);
-  gemm_batched(batch, d, d, d, a, b, parallel, &pool);
-  EXPECT_EQ(serial, parallel);
-}
-
-TEST(GemmBatched, ValidatesShapes) {
-  std::vector<real_t> a(10), b(10), c(9);
-  EXPECT_THROW(gemm_batched(2, 2, 2, 2, a, b, c), CheckError);
-}
-
-// ---------- solve_batched ----------
-
-std::vector<real_t> spd_batch(std::size_t batch, std::size_t f,
-                              std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<real_t> out(batch * f * f);
-  for (std::size_t i = 0; i < batch; ++i) {
-    std::vector<real_t> g(f * f);
-    for (auto& v : g) {
-      v = static_cast<real_t>(rng.normal(0.0, 1.0));
-    }
-    for (std::size_t r = 0; r < f; ++r) {
-      for (std::size_t c = 0; c < f; ++c) {
-        double acc = r == c ? 1.5 : 0.0;
-        for (std::size_t k = 0; k < f; ++k) {
-          acc += static_cast<double>(g[r * f + k]) *
-                 static_cast<double>(g[c * f + k]);
-        }
-        out[i * f * f + r * f + c] = static_cast<real_t>(acc);
-      }
-    }
-  }
-  return out;
-}
-
-class SolveBatchedSweep : public ::testing::TestWithParam<SolverKind> {};
-
-TEST_P(SolveBatchedSweep, SolvesEverySystem) {
-  const std::size_t batch = 20;
-  const std::size_t f = 12;
-  const auto a = spd_batch(batch, f, 5);
-  const auto b = random_values(batch * f, 6);
-  std::vector<real_t> x(batch * f, 0.0f);
-  SolverOptions options;
-  options.kind = GetParam();
-  options.cg_fs = 40;
-  options.cg_eps = 1e-5f;
-  const auto stats = solve_batched(batch, f, a, b, x, options);
-  EXPECT_EQ(stats.systems, batch);
-  EXPECT_EQ(stats.failures, 0u);
-  for (std::size_t i = 0; i < batch; ++i) {
-    double worst = 0;
-    for (std::size_t r = 0; r < f; ++r) {
-      double acc = 0;
-      for (std::size_t c = 0; c < f; ++c) {
-        acc += static_cast<double>(a[i * f * f + r * f + c]) *
-               static_cast<double>(x[i * f + c]);
-      }
-      worst = std::max(worst, std::abs(acc - b[i * f + r]));
-    }
-    EXPECT_LT(worst, GetParam() == SolverKind::CgFp16 ? 0.3 : 1e-2)
-        << "system " << i;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(AllSolvers, SolveBatchedSweep,
-                         ::testing::Values(SolverKind::LuFp32,
-                                           SolverKind::CholeskyFp32,
-                                           SolverKind::CgFp32,
-                                           SolverKind::CgFp16));
-
-TEST(SolveBatched, PoolMatchesSerial) {
-  const std::size_t batch = 24;
-  const std::size_t f = 8;
-  const auto a = spd_batch(batch, f, 7);
-  const auto b = random_values(batch * f, 8);
-  std::vector<real_t> serial(batch * f, 0.0f);
-  std::vector<real_t> parallel(batch * f, 0.0f);
-  SolverOptions options;
-  options.kind = SolverKind::CholeskyFp32;
-  const auto s1 = solve_batched(batch, f, a, b, serial, options);
-  ThreadPool pool(3);
-  const auto s2 = solve_batched(batch, f, a, b, parallel, options, &pool);
-  EXPECT_EQ(serial, parallel);
-  EXPECT_EQ(s1.systems, s2.systems);
-}
-
-TEST(SolveBatched, CountsSingularFailures) {
-  const std::size_t f = 2;
-  std::vector<real_t> a{1, 1, 1, 1,   // singular
-                        2, 0, 0, 2};  // fine
-  std::vector<real_t> b{1, 1, 2, 4};
-  std::vector<real_t> x(4, -7.0f);
-  SolverOptions options;
-  options.kind = SolverKind::LuFp32;
-  const auto stats = solve_batched(2, f, a, b, x, options);
-  EXPECT_EQ(stats.failures, 1u);
-  EXPECT_EQ(x[0], -7.0f);  // failed system left untouched
-  EXPECT_NEAR(x[2], 1.0f, 1e-5);
-  EXPECT_NEAR(x[3], 2.0f, 1e-5);
-}
 
 // ---------- AdaGrad schedule ----------
 
@@ -210,8 +58,8 @@ TEST(AdaGrad, ConvergesAtLeastAsWellAsFixedDecay) {
   adaptive.schedule = SgdSchedule::AdaGrad;
   adaptive.lr = 0.2f;  // AdaGrad tolerates a larger base rate
 
-  HogwildSgd a(data.ratings, fixed);
-  HogwildSgd b(data.ratings, adaptive);
+  BlockedSgd a(data.ratings, fixed);
+  BlockedSgd b(data.ratings, adaptive);
   for (int e = 0; e < 20; ++e) {
     a.run_epoch();
     b.run_epoch();
@@ -245,39 +93,6 @@ TEST(AdaGrad, WorksUnderBlockedScheduling) {
   }
   EXPECT_LT(rmse(data.ratings, sgd.user_factors(), sgd.item_factors()),
             0.7);
-}
-
-// ---------- CCD++ GPU model ----------
-
-TEST(CcdGpuModel, SitsBetweenGpuAlsAndCumfAls) {
-  // [20]'s claim: parallel CCD++ on GPU beats GPU-ALS [31]; cuMF-ALS (this
-  // paper) beats both (§VI-B).
-  const auto dev = gpusim::DeviceSpec::maxwell_titan_x();
-  const double m = 480189;
-  const double n = 17770;
-  const double nnz = 99e6;
-  const double ccd = ccd_gpu_epoch_seconds(dev, nnz, 100);
-  const auto cumf_cfg = cumfals_kernel_config(100, SolverKind::CgFp16);
-  const double cumf = als_epoch_seconds(dev, m, n, nnz, cumf_cfg);
-  auto plain_cfg = cumf_cfg;
-  plain_cfg.solver = SolverKind::LuFp32;
-  plain_cfg.load_scheme = LoadScheme::Coalesced;
-  plain_cfg.register_tiling = false;
-  const double plain = als_epoch_seconds(dev, m, n, nnz, plain_cfg);
-  // Per-epoch CCD++ is the cheapest of the three (rank-1 sweeps), but it
-  // "makes less progress per iteration" (§VI-B): with its typical ~3x epoch
-  // multiplier, cuMF-ALS still wins overall while GPU-ALS [31] loses.
-  EXPECT_LT(ccd, plain);
-  EXPECT_LT(3.0 * ccd, plain);   // [20]: CCD++ GPU beats GPU-ALS overall
-  EXPECT_GT(3.0 * ccd, cumf);    // cuMF-ALS remains the fastest
-}
-
-TEST(CcdGpuModel, ScalesLinearlyInFAndNnz) {
-  const auto dev = gpusim::DeviceSpec::pascal_p100();
-  const double base = ccd_gpu_epoch_seconds(dev, 1e8, 50);
-  EXPECT_NEAR(ccd_gpu_epoch_seconds(dev, 2e8, 50), 2 * base, 1e-9);
-  EXPECT_NEAR(ccd_gpu_epoch_seconds(dev, 1e8, 100), 2 * base, 1e-9);
-  EXPECT_THROW(ccd_gpu_epoch_seconds(dev, 0, 50), CheckError);
 }
 
 }  // namespace

@@ -108,17 +108,6 @@ TEST(Rng, NormalWithParamsScalesCorrectly) {
   EXPECT_NEAR(sum / kSamples, 5.0, 0.05);
 }
 
-TEST(Rng, SplitStreamsAreIndependent) {
-  Rng base(99);
-  Rng s0 = base.split(0);
-  Rng s1 = base.split(1);
-  int same = 0;
-  for (int i = 0; i < 64; ++i) {
-    same += s0() == s1();
-  }
-  EXPECT_LT(same, 4);
-}
-
 TEST(Zipf, UniformWhenExponentZero) {
   ZipfSampler zipf(10, 0.0);
   Rng rng(3);

@@ -17,7 +17,9 @@
 #include "linalg/cg.hpp"
 #include "sparse/csr.hpp"
 
+#include "cusim_kernels.hpp"
 #include "exact_oracle.hpp"
+#include "test_support.hpp"
 
 namespace cumf::cusim {
 namespace {

@@ -16,7 +16,6 @@
 #include "analysis/cuverify/registry.hpp"
 #include "analysis/cuverify/verify.hpp"
 #include "analysis/fixtures.hpp"
-#include "analysis/precheck.hpp"
 #include "analysis/report.hpp"
 #include "common/rng.hpp"
 #include "core/als.hpp"
@@ -179,6 +178,103 @@ TEST(CuverifyDifferential, StaticRacecheckFlagsEveryDynamicHazard) {
 
 // ---------- coalescing: static prediction == dynamic trace ----------
 
+/// Static mirror of gpusim::hermitian_load_trace: an AccessPlan whose warp
+/// instructions reproduce scheme (a)/(b) of the paper's load phase for the
+/// given column set, so the coalescing differential below can compare the
+/// static prediction with the dynamic trace and the gpusim cache counters.
+AccessPlan hermitian_load_plan(const gpusim::DeviceSpec& dev,
+                               const gpusim::TraceConfig& config,
+                               std::span<const index_t> cols) {
+  CUMF_EXPECTS(config.f > 0 && config.bin > 0, "f and BIN must be positive");
+  CUMF_EXPECTS(config.threads_per_block % dev.warp_size == 0,
+               "block must be whole warps");
+  const auto f = static_cast<std::uint64_t>(config.f);
+  const auto ff = static_cast<std::int64_t>(f);
+  const int warp = dev.warp_size;
+
+  index_t max_col = 0;
+  for (const index_t c : cols) {
+    max_col = std::max(max_col, c);
+  }
+
+  AccessPlan plan;
+  plan.kernel = config.coalesced ? "hermitian_load(coalesced)"
+                                 : "hermitian_load(noncoalesced)";
+  plan.grid = cusim::Dim3{1, 1, 1};
+  plan.block = cusim::Dim3{
+      config.coalesced ? static_cast<unsigned>(warp)
+                       : static_cast<unsigned>(config.threads_per_block),
+      1, 1};
+  plan.buffers = {{"theta", cusim::MemSpace::Global,
+                   (static_cast<std::uint64_t>(max_col) + 1) * f,
+                   sizeof(real_t), config.theta_base}};
+  plan.segments.emplace_back();
+  PlanSegment& segment = plan.segments.back();
+
+  for (std::size_t batch = 0; batch < cols.size();
+       batch += static_cast<std::size_t>(config.bin)) {
+    const std::size_t len = std::min(cols.size() - batch,
+                                     static_cast<std::size_t>(config.bin));
+    PlanAccess access;
+    access.buffer = 0;
+    access.kind = cusim::AccessKind::Read;
+    access.label = config.coalesced ? "theta (coalesced stage)"
+                                    : "theta (own-column stage)";
+    if (config.coalesced) {
+      // Scheme (a): one warp walks column after column; chunk ⟨c, k⟩ covers
+      // floats [k·warp, k·warp+warp) of column cols[batch+c].
+      const auto chunks =
+          static_cast<std::uint32_t>((f + warp - 1) / static_cast<std::uint64_t>(warp));
+      access.loops = {{static_cast<std::uint32_t>(len), "c"},
+                      {chunks, "k"}};
+      access.index.thread_coeff = 1;
+      access.index.loop_coeffs = {static_cast<std::int64_t>(chunks) * warp,
+                                  warp};
+      AffineForm guard;
+      guard.thread_coeff = 1;
+      guard.loop_coeffs = {0, warp};
+      access.guard = guard;
+      access.guard_bound = ff;
+      access.gather.resize(len * chunks * static_cast<std::size_t>(warp));
+      const std::uint64_t per_col = static_cast<std::uint64_t>(chunks) * warp;
+      for (std::size_t v = 0; v < access.gather.size(); ++v) {
+        const std::size_t c = v / per_col;
+        const auto elem = static_cast<std::int64_t>(v % per_col);
+        access.gather[v] =
+            static_cast<std::int64_t>(cols[batch + c]) * ff + elem;
+      }
+    } else {
+      // Scheme (b): each thread owns (a segment of) one column; instruction
+      // e advances every thread one element down its own column.
+      const int threads = config.threads_per_block;
+      const int segments_n =
+          std::max(1, threads / static_cast<int>(len));
+      const auto seg_len =
+          (f + static_cast<std::uint64_t>(segments_n) - 1) /
+          static_cast<std::uint64_t>(segments_n);
+      access.loops = {{static_cast<std::uint32_t>(seg_len), "e"}};
+      access.index.loop_coeffs = {1};
+      access.index.thread_table.resize(threads);
+      AffineForm guard;
+      guard.loop_coeffs = {1};
+      guard.thread_table.resize(threads);
+      for (int t = 0; t < threads; ++t) {
+        const std::size_t ci = static_cast<std::size_t>(t) % len;
+        const auto seg = static_cast<std::uint64_t>(t) / len %
+                         static_cast<std::uint64_t>(segments_n);
+        const auto seg_base = static_cast<std::int64_t>(seg * seg_len);
+        access.index.thread_table[t] =
+            static_cast<std::int64_t>(cols[batch + ci]) * ff + seg_base;
+        guard.thread_table[t] = seg_base;
+      }
+      access.guard = guard;
+      access.guard_bound = ff;
+    }
+    segment.accesses.push_back(std::move(access));
+  }
+  return plan;
+}
+
 void expect_stream_equal(const std::vector<gpusim::WarpInstruction>& statics,
                          const std::vector<gpusim::WarpInstruction>& dynamic,
                          const char* scheme) {
@@ -293,22 +389,6 @@ TEST(CuverifyReport, SeverityScaleAndExitCodesAreShared) {
   const std::string rendered = render(findings);
   EXPECT_NE(rendered.find("warning [coalesce]"), std::string::npos);
   EXPECT_NE(rendered.find("error [racecheck]"), std::string::npos);
-}
-
-TEST(CuverifyReport, PrecheckSharesTheFindingFormat) {
-  // The dynamic gate's findings use the same records: a clean precheck run
-  // has no error findings and exit code 0 under the shared convention.
-  const auto coo = synthetic_coo(40, 24, 6, 5.0, 7);
-  const auto csr = CsrMatrix::from_coo(coo);
-  Matrix theta(csr.cols(), 8);
-  Rng rng(2);
-  for (auto& v : theta.data()) {
-    v = static_cast<real_t>(rng.normal(0.0, 0.1));
-  }
-  const PrecheckResult result = run_precheck(csr, theta);
-  ASSERT_TRUE(result.clean());
-  EXPECT_EQ(count(result.findings(), Severity::Error), 0U);
-  EXPECT_EQ(result.exit_code(), 0);
 }
 
 // ---------- FP16 range analysis vs observed fallbacks ----------

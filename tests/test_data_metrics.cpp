@@ -1,6 +1,7 @@
 // Tests for the synthetic data generators, dataset presets, implicit
 // conversion, I/O, and the metrics (RMSE, convergence tracking, roofline).
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
@@ -22,6 +23,7 @@
 #include "metrics/rmse.hpp"
 #include "metrics/roofline.hpp"
 #include "sparse/csr.hpp"
+#include "test_support.hpp"
 #include "topk_oracle.hpp"
 
 namespace cumf {
@@ -113,10 +115,14 @@ TEST(Generator, DegreesAreSkewed) {
   cfg.col_zipf = 1.1;
   const auto data = generate_synthetic(cfg);
   const auto csc = CsrMatrix::from_coo(data.ratings).transposed();
+  std::size_t max_deg = 0;
+  for (index_t v = 0; v < csc.rows(); ++v) {
+    max_deg = std::max(max_deg, csc.row_cols(v).size());
+  }
   // Popular columns should have far more than the mean degree (the cap of
   // m per column is far away at this density).
   const double mean_deg = 12000.0 / 500.0;
-  EXPECT_GT(csc.max_row_degree(), 3.0 * mean_deg);
+  EXPECT_GT(static_cast<double>(max_deg), 3.0 * mean_deg);
 }
 
 TEST(Generator, DeterministicForSeed) {
@@ -269,17 +275,6 @@ TEST(Rmse, EmptySetIsZero) {
   EXPECT_EQ(rmse(RatingsCoo(1, 1), x, theta), 0.0);
 }
 
-TEST(Rmse, RegularizedLossPenalizesFactorNorms) {
-  Matrix x(1, 1);
-  Matrix theta(1, 1);
-  x(0, 0) = 2;
-  theta(0, 0) = 2;  // prediction 4
-  RatingsCoo coo(1, 1);
-  coo.add(0, 0, 4.0f);  // zero data error
-  // loss = 0 + λ·(1·‖x‖² + 1·‖θ‖²) = λ·8
-  EXPECT_NEAR(regularized_loss(coo, x, theta, 0.5), 4.0, 1e-6);
-}
-
 // ---------- convergence ----------
 
 TEST(Convergence, TimeToTargetInterpolatesForward) {
@@ -291,7 +286,6 @@ TEST(Convergence, TimeToTargetInterpolatesForward) {
   EXPECT_DOUBLE_EQ(*t.time_to(1.0), 2.0);
   EXPECT_EQ(*t.epochs_to(0.95), 3);
   EXPECT_FALSE(t.time_to(0.5).has_value());
-  EXPECT_DOUBLE_EQ(t.best_rmse(), 0.9);
 }
 
 TEST(Convergence, RejectsNonMonotoneTime) {
@@ -523,9 +517,25 @@ TEST(Ranking, TopKMatchesTheOracleOverShapesAndK) {
   }
 }
 
+/// Loads `text` through load_ratings_file from a scratch file (named by
+/// pid: ctest runs the tests that share this helper as concurrent
+/// processes).
+RatingsCoo load_text(const std::string& text, const LoaderOptions& options) {
+  const std::string path =
+      (std::filesystem::path(::testing::TempDir()) /
+       ("loader_text-" + std::to_string(::getpid()) + ".txt"))
+          .string();
+  std::ofstream(path, std::ios::binary) << text;
+  struct Remove {
+    std::string path;
+    ~Remove() { std::filesystem::remove(path); }
+  } remove{path};
+  return load_ratings_file(path, options);
+}
+
 TEST(Loaders, ParsesTripletFormat) {
-  std::stringstream ss("0 0 4.0\n# a comment\n\n2 1 3.5\n1 2 1.0\n");
-  const auto coo = load_ratings(ss, LoaderOptions{});
+  const auto coo = load_text("0 0 4.0\n# a comment\n\n2 1 3.5\n1 2 1.0\n",
+                             LoaderOptions{});
   EXPECT_EQ(coo.rows(), 3u);
   EXPECT_EQ(coo.cols(), 3u);
   ASSERT_EQ(coo.nnz(), 3u);
@@ -534,11 +544,11 @@ TEST(Loaders, ParsesTripletFormat) {
 }
 
 TEST(Loaders, ParsesMovieLensFormat) {
-  std::stringstream ss("1::10::5::978300760\n2::3::4.5::978302109\r\n");
   LoaderOptions options;
   options.format = RatingsFormat::MovieLens;
   options.one_based = true;
-  const auto coo = load_ratings(ss, options);
+  const auto coo =
+      load_text("1::10::5::978300760\n2::3::4.5::978302109\r\n", options);
   EXPECT_EQ(coo.rows(), 2u);   // ids shifted to 0-based
   EXPECT_EQ(coo.cols(), 10u);
   ASSERT_EQ(coo.nnz(), 2u);
@@ -548,52 +558,45 @@ TEST(Loaders, ParsesMovieLensFormat) {
 }
 
 TEST(Loaders, RejectsMalformedAndEmptyInput) {
-  std::stringstream garbage("1 2\n");
-  EXPECT_THROW(load_ratings(garbage, LoaderOptions{}), CheckError);
-  std::stringstream empty("# only a comment\n");
-  EXPECT_THROW(load_ratings(empty, LoaderOptions{}), CheckError);
-  std::stringstream negative("0 0 1.0\n");
+  EXPECT_THROW(load_text("1 2\n", LoaderOptions{}), CheckError);
+  EXPECT_THROW(load_text("# only a comment\n", LoaderOptions{}), CheckError);
   LoaderOptions one_based;
   one_based.one_based = true;  // 0 becomes -1: invalid
-  EXPECT_THROW(load_ratings(negative, one_based), CheckError);
-  std::stringstream bad_ml("1::x::3\n");
+  EXPECT_THROW(load_text("0 0 1.0\n", one_based), CheckError);
   LoaderOptions ml;
   ml.format = RatingsFormat::MovieLens;
-  EXPECT_THROW(load_ratings(bad_ml, ml), CheckError);
+  EXPECT_THROW(load_text("1::x::3\n", ml), CheckError);
 }
 
-TEST(Loaders, FileLoaderMatchesStreamLoader) {
-  // The file path reads in 1 MiB blocks with in-place line slicing; it must
-  // agree entry-for-entry with the istream path on a file big enough to
-  // straddle several block boundaries, with CRLF endings, comments, and no
-  // trailing newline on the last line.
+TEST(Loaders, FileLoaderReadsEveryLineAcrossBlocks) {
+  // The loader reads in 1 MiB blocks with in-place line slicing; it must
+  // return every entry in order from a file big enough to straddle several
+  // block boundaries, with CRLF endings, comments, and no trailing newline
+  // on the last line.
   std::ostringstream content;
+  std::vector<Rating> expected;
   content << "# header comment\r\n";
   for (int i = 0; i < 130000; ++i) {
-    content << (i % 311) << ' ' << (i % 97) << ' ' << (1.0 + i % 9 * 0.5)
+    const Rating e{static_cast<index_t>(i % 311), static_cast<index_t>(i % 97),
+                   static_cast<real_t>(1.0 + i % 9 * 0.5)};
+    content << e.u << ' ' << e.v << ' ' << e.r
             << (i % 7 == 0 ? "\r\n" : "\n");
+    expected.push_back(e);
   }
   content << "5 5 2.5";  // no trailing newline
+  expected.push_back(Rating{5, 5, 2.5f});
   const std::string text = content.str();
   ASSERT_GT(text.size(), std::size_t{1} << 20);
 
-  const std::string path =
-      (std::filesystem::path(::testing::TempDir()) / "loader_blocks.txt")
-          .string();
-  std::ofstream(path, std::ios::binary) << text;
-
-  std::istringstream ss(text);
-  const RatingsCoo from_stream = load_ratings(ss, LoaderOptions{});
-  const RatingsCoo from_file = load_ratings_file(path, LoaderOptions{});
-  EXPECT_EQ(from_file.rows(), from_stream.rows());
-  EXPECT_EQ(from_file.cols(), from_stream.cols());
-  ASSERT_EQ(from_file.nnz(), from_stream.nnz());
-  for (std::size_t i = 0; i < from_file.entries().size(); ++i) {
-    ASSERT_EQ(from_file.entries()[i].u, from_stream.entries()[i].u);
-    ASSERT_EQ(from_file.entries()[i].v, from_stream.entries()[i].v);
-    ASSERT_EQ(from_file.entries()[i].r, from_stream.entries()[i].r);
+  const RatingsCoo from_file = load_text(text, LoaderOptions{});
+  EXPECT_EQ(from_file.rows(), 311u);
+  EXPECT_EQ(from_file.cols(), 97u);
+  ASSERT_EQ(from_file.nnz(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_EQ(from_file.entries()[i].u, expected[i].u) << i;
+    ASSERT_EQ(from_file.entries()[i].v, expected[i].v) << i;
+    ASSERT_EQ(from_file.entries()[i].r, expected[i].r) << i;
   }
-  std::filesystem::remove(path);
 }
 
 TEST(Loaders, FileLoaderNamesTheMalformedLine) {
@@ -619,7 +622,7 @@ TEST(Loaders, RoundTripsThroughOwnWriter) {
   for (const Rating& e : data.ratings.entries()) {
     ss << e.u << ' ' << e.v << ' ' << e.r << '\n';
   }
-  const auto back = load_ratings(ss, LoaderOptions{});
+  const auto back = load_text(ss.str(), LoaderOptions{});
   EXPECT_EQ(back.nnz(), data.ratings.nnz());
   // Dimensions are inferred, so they may be tighter than the generator's.
   EXPECT_LE(back.rows(), data.ratings.rows());

@@ -12,7 +12,6 @@
 #include "gpusim/device.hpp"
 #include "gpusim/interconnect.hpp"
 #include "gpusim/occupancy.hpp"
-#include "gpusim/sim_clock.hpp"
 #include "gpusim/trace.hpp"
 #include "trace_oracle.hpp"
 
@@ -70,14 +69,6 @@ TEST(Cache, RejectsBadGeometry) {
   EXPECT_THROW(CacheLevel({0, 64, 2}), CheckError);
   EXPECT_THROW(CacheLevel({1000, 60, 2}), CheckError);  // non-pow2 line
   EXPECT_THROW(CacheLevel({64, 128, 2}), CheckError);   // below one set
-}
-
-TEST(Cache, FlushResetsState) {
-  CacheLevel cache({1024, 64, 2});
-  cache.access(0);
-  cache.flush();
-  EXPECT_EQ(cache.accesses(), 0u);
-  EXPECT_FALSE(cache.access(0));
 }
 
 // ---------- hierarchy ----------
@@ -351,26 +342,6 @@ TEST(Interconnect, PipelinedStreamValidatesInput) {
   EXPECT_THROW(pipelined_stream_seconds(two, neg), CheckError);
 }
 
-// ---------- sim clock ----------
-
-TEST(SimClock, AccumulatesPerKernel) {
-  SimClock clock;
-  clock.charge("solve", 1.5);
-  clock.charge("solve", 0.5);
-  clock.charge("hermitian", 2.0);
-  EXPECT_DOUBLE_EQ(clock.of("solve"), 2.0);
-  EXPECT_DOUBLE_EQ(clock.of("hermitian"), 2.0);
-  EXPECT_DOUBLE_EQ(clock.of("missing"), 0.0);
-  EXPECT_DOUBLE_EQ(clock.total(), 4.0);
-  clock.reset();
-  EXPECT_DOUBLE_EQ(clock.total(), 0.0);
-}
-
-TEST(SimClock, RejectsNegativeCharge) {
-  SimClock clock;
-  EXPECT_THROW(clock.charge("k", -1.0), CheckError);
-}
-
 // ---------- device presets ----------
 
 TEST(Device, PresetsMatchTableIII) {
@@ -397,13 +368,6 @@ TEST(Device, VoltaPresetHasTensorCores) {
   EXPECT_GT(v.peak_flops, DeviceSpec::pascal_p100().peak_flops);
   EXPECT_GT(v.dram_bw, DeviceSpec::pascal_p100().dram_bw);
   EXPECT_EQ(DeviceSpec::kepler_k40().tensor_flops, 0.0);
-}
-
-TEST(CostModel, HostAlsEpochScalesWithF) {
-  const auto host = HostSpec::libmf_40core();
-  const double f50 = host_als_epoch_seconds(host, 1e8, 5e5, 2e4, 50);
-  const double f100 = host_als_epoch_seconds(host, 1e8, 5e5, 2e4, 100);
-  EXPECT_GT(f100, 3.5 * f50);  // Nz·f² term dominates → ~4x
 }
 
 // ---------- streamed replay vs the materialized oracle ----------

@@ -20,8 +20,8 @@ TEST(Half, ExhaustiveRoundTripThroughFloat) {
     const half h = half::from_bits(static_cast<std::uint16_t>(bits));
     const float widened = static_cast<float>(h);
     const half back(widened);
-    if (h.is_nan()) {
-      EXPECT_TRUE(back.is_nan()) << "bits=" << bits;
+    if (std::isnan(widened)) {
+      EXPECT_TRUE(std::isnan(static_cast<float>(back))) << "bits=" << bits;
     } else {
       EXPECT_EQ(back.bits(), h.bits()) << "bits=" << bits;
     }
@@ -56,9 +56,10 @@ TEST(Half, RoundsToNearestEven) {
 }
 
 TEST(Half, OverflowGoesToInfinity) {
-  EXPECT_TRUE(half(65520.0f).is_inf());  // just past max+ulp/2
-  EXPECT_TRUE(half(1e10f).is_inf());
-  EXPECT_TRUE(half(-1e10f).is_inf());
+  // 65520 is just past max + ulp/2.
+  EXPECT_TRUE(std::isinf(static_cast<float>(half(65520.0f))));
+  EXPECT_TRUE(std::isinf(static_cast<float>(half(1e10f))));
+  EXPECT_TRUE(std::isinf(static_cast<float>(half(-1e10f))));
   EXPECT_LT(static_cast<float>(half(-1e10f)), 0.0f);
   // 65504 + 15 rounds back down to max (below the ties boundary 65520).
   EXPECT_EQ(half(65519.0f).bits(), half::max().bits());
@@ -78,54 +79,14 @@ TEST(Half, SubnormalsAreExact) {
   for (int k = 1; k <= 16; ++k) {
     const float value = static_cast<float>(k) * 0x1.0p-24f;
     const half h(value);
-    EXPECT_TRUE(h.is_subnormal());
+    EXPECT_EQ(h.bits() & 0x7C00u, 0u);  // zero exponent field
     EXPECT_EQ(static_cast<float>(h), value) << "k=" << k;
   }
 }
 
 TEST(Half, NanPropagates) {
   const half nan(std::numeric_limits<float>::quiet_NaN());
-  EXPECT_TRUE(nan.is_nan());
-  EXPECT_FALSE(nan == nan);
   EXPECT_TRUE(std::isnan(static_cast<float>(nan)));
-  EXPECT_TRUE((nan + half(1.0f)).is_nan());
-}
-
-TEST(Half, InfinityArithmetic) {
-  const half inf = half::infinity();
-  EXPECT_TRUE(inf.is_inf());
-  EXPECT_TRUE((inf + half(1.0f)).is_inf());
-  EXPECT_TRUE((inf - inf).is_nan());
-  EXPECT_TRUE(half(std::numeric_limits<float>::infinity()).is_inf());
-}
-
-TEST(Half, SignedZerosCompareEqual) {
-  const half pz(0.0f);
-  const half nz(-0.0f);
-  EXPECT_NE(pz.bits(), nz.bits());
-  EXPECT_TRUE(pz == nz);
-}
-
-TEST(Half, NegationFlipsSignBit) {
-  const half h(3.5f);
-  EXPECT_EQ(static_cast<float>(-h), -3.5f);
-  EXPECT_TRUE((-half::quiet_nan()).is_nan());
-}
-
-TEST(Half, ArithmeticRoundsResultToHalf) {
-  // 1 + 2^-11 in half arithmetic: the sum computed in float is not
-  // representable, so it rounds back to 1.
-  const half one(1.0f);
-  const half tiny(0x1.0p-11f);
-  EXPECT_EQ((one + tiny).bits(), one.bits());
-  EXPECT_EQ(static_cast<float>(half(3.0f) * half(0.5f)), 1.5f);
-  EXPECT_EQ(static_cast<float>(half(1.0f) / half(4.0f)), 0.25f);
-}
-
-TEST(Half, OrderingMatchesFloat) {
-  EXPECT_TRUE(half(1.0f) < half(2.0f));
-  EXPECT_TRUE(half(-2.0f) < half(-1.0f));
-  EXPECT_FALSE(half(2.0f) < half(1.0f));
 }
 
 // Relative error of a half-rounded value must be within epsilon/2 for

@@ -27,14 +27,30 @@
 namespace cumf {
 namespace {
 
-std::string temp_dir(const std::string& name) {
-  // Suffix with the pid: ctest runs each parameterized instance as its own
-  // process, and concurrent instances sharing one directory race remove_all.
-  const auto dir = std::filesystem::path(::testing::TempDir()) /
-                   (name + "-" + std::to_string(::getpid()));
-  std::filesystem::remove_all(dir);
-  return dir.string();
-}
+/// A fresh scratch directory under the test temp dir, removed with its
+/// contents when the object goes out of scope. The name carries the pid:
+/// ctest runs each parameterized instance as its own process, and
+/// concurrent instances sharing one directory race remove_all.
+class ScratchDir {
+ public:
+  explicit ScratchDir(const std::string& name)
+      : path_((std::filesystem::path(::testing::TempDir()) /
+               (name + "-" + std::to_string(::getpid())))
+                  .string()) {
+    std::filesystem::remove_all(path_);
+  }
+  ~ScratchDir() {
+    std::error_code ignored;  // a destructor must not throw
+    std::filesystem::remove_all(path_, ignored);
+  }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+
+  const std::string& path() const noexcept { return path_; }
+
+ private:
+  std::string path_;
+};
 
 RatingsCoo tiny_ratings() {
   SyntheticConfig cfg;
@@ -81,7 +97,8 @@ bool same_bits(const Matrix& a, const Matrix& b) {
 // ---------- Shard store round-trip ----------
 
 TEST(ShardStore, MetaAndTilesRoundTrip) {
-  const std::string dir = temp_dir("shard_roundtrip");
+  const ScratchDir scratch("shard_roundtrip");
+  const std::string& dir = scratch.path();
   const RatingsCoo all = tiny_ratings();
   const ShardBuildOptions build = tiny_build();
   const ShardMeta written = write_shards(dir, all, build);
@@ -132,7 +149,8 @@ TEST(ShardStore, MetaAndTilesRoundTrip) {
 // The on-disk bytes of one tile, the meta and the test set, pinned by size
 // and CRC-32: a codec change that moves a single byte fails here.
 TEST(ShardStore, BytesArePinned) {
-  const std::string dir = temp_dir("shard_bytes");
+  const ScratchDir scratch("shard_bytes");
+  const std::string& dir = scratch.path();
   write_shards(dir, tiny_ratings(), tiny_build());
   struct Pin {
     std::string path;
@@ -148,7 +166,6 @@ TEST(ShardStore, BytesArePinned) {
     EXPECT_EQ(bytes.size(), pin.size) << pin.path;
     EXPECT_EQ(crc32(bytes), pin.crc) << pin.path;
   }
-  std::filesystem::remove_all(dir);
 }
 
 // ---------- Rejection taxonomy ----------
@@ -164,7 +181,6 @@ void write_file(const std::string& path, const std::string& bytes) {
 class ShardRejectTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = temp_dir("shard_reject");
     meta_ = write_shards(dir_, tiny_ratings(), tiny_build());
     tile_ = tile_path(dir_, TileView::by_row, 0);
   }
@@ -179,7 +195,8 @@ class ShardRejectTest : public ::testing::Test {
     return FrameReject::io;
   }
 
-  std::string dir_;
+  const ScratchDir scratch_{"shard_reject"};
+  const std::string& dir_ = scratch_.path();
   ShardMeta meta_;
   std::string tile_;
 };
@@ -262,7 +279,8 @@ TEST(TileSchedule, SerpentineAndDeterministic) {
 // ---------- Tile cache ----------
 
 TEST(TileCache, BudgetIsHardAndEvictionIsLru) {
-  const std::string dir = temp_dir("cache_budget");
+  const ScratchDir scratch("cache_budget");
+  const std::string& dir = scratch.path();
   const ShardMeta meta = write_shards(dir, tiny_ratings(), tiny_build());
   std::uint64_t largest = 0;
   std::uint64_t total = 0;
@@ -332,7 +350,8 @@ class OocBitIdentity : public ::testing::TestWithParam<OocCase> {};
 
 TEST_P(OocBitIdentity, MatchesInCoreAlsEngine) {
   const OocCase& c = GetParam();
-  const std::string dir = temp_dir("ooc_bitident");
+  const ScratchDir scratch("ooc_bitident");
+  const std::string& dir = scratch.path();
   const RatingsCoo all = tiny_ratings();
   const ShardBuildOptions build = tiny_build();
   const ShardMeta meta = write_shards(dir, all, build);
@@ -384,7 +403,8 @@ INSTANTIATE_TEST_SUITE_P(
                 AlsSchedule::static_rows}));
 
 TEST(OocEngine, RestoreContinuesBitIdentically) {
-  const std::string dir = temp_dir("ooc_restore");
+  const ScratchDir scratch("ooc_restore");
+  const std::string& dir = scratch.path();
   const RatingsCoo all = tiny_ratings();
   write_shards(dir, all, tiny_build());
   const AlsOptions options = tiny_options(SolverKind::CgFp16);
@@ -422,7 +442,8 @@ TEST(OocEngine, FaultInjectionHitsTheSameGlobalRows) {
   // Fault decisions hash (seed, site, global row): the streamed engine must
   // pass global row ids through tile-local updates, or injected faults land
   // on different rows and the degradation ladder diverges from in-core.
-  const std::string dir = temp_dir("ooc_faults");
+  const ScratchDir scratch("ooc_faults");
+  const std::string& dir = scratch.path();
   const RatingsCoo all = tiny_ratings();
   const ShardBuildOptions build = tiny_build();
   write_shards(dir, all, build);
@@ -459,7 +480,8 @@ TEST(OocEngine, FaultInjectionHitsTheSameGlobalRows) {
 }
 
 TEST(OocEngine, EpochStatsAndTimelineArePopulated) {
-  const std::string dir = temp_dir("ooc_stats");
+  const ScratchDir scratch("ooc_stats");
+  const std::string& dir = scratch.path();
   write_shards(dir, tiny_ratings(), tiny_build());
   OocOptions ooc;
   ooc.host_mem_bytes = std::uint64_t{1} << 30;
@@ -487,7 +509,8 @@ TEST(OocEngine, EpochStatsAndTimelineArePopulated) {
 }
 
 TEST(OocEngine, PooledTimelineMatchesSerialUnderOneTwoThreeWorkers) {
-  const std::string dir = temp_dir("ooc_timeline_pool");
+  const ScratchDir scratch("ooc_timeline_pool");
+  const std::string& dir = scratch.path();
   const ShardMeta meta = write_shards(dir, tiny_ratings(), tiny_build());
   const auto dev = gpusim::DeviceSpec::pascal_p100();
   const auto link = gpusim::LinkSpec::pcie3();

@@ -346,17 +346,16 @@ TEST(Histogram, MergeSumsBucketwise) {
   EXPECT_EQ(a.buckets().at(5), 1u);
 }
 
-CounterRegistry shard(double add, double obs) {
+CounterRegistry shard(double obs) {
   CounterRegistry r;
-  r.add("flops", add);
   r.observe("cg_iters", obs);
   return r;
 }
 
 TEST(CounterRegistry, MergeIsAssociativeAndCommutative) {
-  const auto a = shard(1.0, 4);
-  const auto b = shard(2.0, 6);
-  const auto c = shard(4.0, 6);
+  const auto a = shard(4);
+  const auto b = shard(6);
+  const auto c = shard(6);
 
   // (a ⊕ b) ⊕ c
   CounterRegistry left = a;
@@ -374,20 +373,9 @@ TEST(CounterRegistry, MergeIsAssociativeAndCommutative) {
 
   EXPECT_EQ(left, right);
   EXPECT_EQ(left, commuted);
-  EXPECT_DOUBLE_EQ(left.value("flops"), 7.0);
   ASSERT_NE(left.histogram("cg_iters"), nullptr);
   EXPECT_EQ(left.histogram("cg_iters")->count(), 3u);
-}
-
-TEST(CounterRegistry, ToJsonRendersCountersAndHistograms) {
-  CounterRegistry r;
-  r.add("bytes", 512);
-  r.observe("iters", 6);
-  r.observe("iters", 6);
-  const auto json = r.to_json();
-  EXPECT_NE(json.find("\"bytes\":512"), std::string::npos);
-  EXPECT_NE(json.find("\"6\":2"), std::string::npos);
-  EXPECT_NE(json.find("\"count\":2"), std::string::npos);
+  EXPECT_EQ(left.histogram("cg_iters")->buckets().at(6), 2u);
 }
 
 // --- Telemetry JSON builder ---------------------------------------------

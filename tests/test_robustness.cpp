@@ -347,18 +347,6 @@ TEST(RatingsIo, TruncatedStreamNamesThePromise) {
   }
 }
 
-TEST(RatingsIo, FileWriteIsAtomic) {
-  RatingsCoo coo(2, 2);
-  coo.add(0, 0, 1.0f);
-  coo.add(1, 1, 2.0f);
-  const std::string path = temp_path("cumf_ratings_atomic.txt");
-  write_ratings_file(path, coo);
-  EXPECT_FALSE(std::filesystem::exists(atomic_temp_path(path)));
-  const RatingsCoo back = read_ratings_file(path);
-  EXPECT_EQ(back.nnz(), 2u);
-  std::filesystem::remove(path);
-}
-
 // ---------- solver graceful degradation ----------
 
 TEST(SolverDegradation, CgBreakdownFallsBackToExactLu) {

@@ -26,6 +26,7 @@
 #include "serve/serve.hpp"
 #include "sparse/coo.hpp"
 #include "sparse/csr.hpp"
+#include "test_support.hpp"
 #include "topk_oracle.hpp"
 
 namespace cumf {

@@ -35,6 +35,8 @@
 #include "sparse/coo.hpp"
 #include "sparse/csr.hpp"
 
+#include "half_cg_oracle.hpp"
+
 namespace cumf {
 namespace {
 

@@ -33,8 +33,8 @@
 //                  stream through a bounded tile cache; factors are
 //                  bit-identical to the in-core run of the same seed/split.
 //                  Requires --host-mem; incompatible with --implicit,
-//                  --gpus, --cucheck and --cuverify (those need the full
-//                  matrix in memory).
+//                  --gpus and --cuverify (those need the full matrix in
+//                  memory).
 //   --host-mem S   hard host budget for cached tiles (e.g. 64M, 2G); must
 //                  admit the largest tile
 //   --device-mem S modeled device memory; overlap needs room to
@@ -45,9 +45,6 @@
 //   --movielens    input uses the u::v::r::ts format (1-based ids)
 //   --test FRAC    hold out FRAC for test RMSE reporting (default 0.1)
 //   --seed N       RNG seed for the holdout split and factor init (default 1)
-//   --cucheck      run one compute-sanitizer-style checked iteration
-//                  (racecheck + memcheck + coalescing lint) before training;
-//                  aborts if the training kernels show hazards
 //   --cuverify     static pregate: prove the training kernels' access plans
 //                  (bounds, races, barriers, coalescing/bank shape,
 //                  occupancy) and predict FP16 pack safety for this dataset
@@ -96,7 +93,6 @@
 #include "analysis/cuverify/fp16range.hpp"
 #include "analysis/cuverify/verify.hpp"
 #include "analysis/faultinject.hpp"
-#include "analysis/precheck.hpp"
 #include "cusim/kernels.hpp"
 #include "gpusim/occupancy.hpp"
 #include "common/check.hpp"
@@ -143,8 +139,7 @@ constexpr const char* kTool = "cumf_train";
                "[--device-mem SIZE]\n"
                "             [--no-overlap]\n"
                "             [--implicit ALPHA] [--movielens]\n"
-               "             [--test FRAC] [--seed N] [--cucheck] "
-               "[--cuverify]\n"
+               "             [--test FRAC] [--seed N] [--cuverify]\n"
                "             [--trace FILE] [--metrics FILE] "
                "[--prof-summary]\n"
                "             [--checkpoint DIR] [--checkpoint-every N] "
@@ -781,7 +776,6 @@ int cmd_train(int argc, char** argv) {
   std::optional<double> implicit_alpha;
   LoaderOptions loader;
   double test_fraction = 0.1;
-  bool cucheck = false;
   bool run_cuverify = false;
   std::uint64_t seed = 1;
   bool seed_given = false;
@@ -863,8 +857,6 @@ int cmd_train(int argc, char** argv) {
       loader.one_based = true;
     } else if (arg == "--test") {
       test_fraction = cli::parse_double(kTool, "--test", next(), 0.0, 0.99);
-    } else if (arg == "--cucheck") {
-      cucheck = true;
     } else if (arg == "--cuverify") {
       run_cuverify = true;
     } else if (arg == "--seed") {
@@ -936,11 +928,11 @@ int cmd_train(int argc, char** argv) {
                    shard_dir.c_str(), std::string(kShardMetaFile).c_str());
       return 2;
     }
-    if (implicit_alpha || gpus > 0 || cucheck || run_cuverify) {
+    if (implicit_alpha || gpus > 0 || run_cuverify) {
       std::fprintf(stderr,
                    "cumf_train: --shards is incompatible with --implicit, "
-                   "--gpus, --cucheck and --cuverify (they need the full "
-                   "matrix in memory)\n");
+                   "--gpus and --cuverify (they need the full matrix in "
+                   "memory)\n");
       return 2;
     }
     if (host_mem == 0 && autotune_path.empty()) {
@@ -1142,31 +1134,6 @@ int cmd_train(int argc, char** argv) {
   } else {
     split = TrainTestSplit{ratings,
                            RatingsCoo(ratings.rows(), ratings.cols())};
-  }
-
-  if (cucheck) {
-    // cucheck_report mode: one checked iteration of the device kernels over
-    // a prefix of the training data before committing to the real run.
-    std::printf("cucheck: running one checked iteration...\n");
-    auto train_sorted = split.train;
-    train_sorted.sort_and_dedup();
-    const auto csr = CsrMatrix::from_coo(train_sorted);
-    Matrix theta0(csr.cols(), static_cast<std::size_t>(f));
-    Rng theta_rng(2);
-    for (auto& v : theta0.data()) {
-      v = static_cast<real_t>(theta_rng.normal(0.0, 0.1));
-    }
-    analysis::PrecheckConfig precheck;
-    precheck.lambda = static_cast<real_t>(lambda);
-    precheck.fs = fs;
-    const auto verdict = analysis::run_precheck(csr, theta0, precheck);
-    std::printf("%s", verdict.summary().c_str());
-    if (!verdict.clean()) {
-      std::fprintf(stderr,
-                   "cucheck: hazards detected in the training kernels; "
-                   "refusing to train\n");
-      return 1;
-    }
   }
 
   // FP16 range prediction is one cheap pass over the ratings and feeds both
