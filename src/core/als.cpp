@@ -123,16 +123,22 @@ std::vector<RowRange> nnz_balanced_shards(const CsrMatrix& r, int parts) {
 }
 
 AlsEngine::AlsEngine(const RatingsCoo& train, const AlsOptions& options)
+    : AlsEngine(CsrPair::from_coo(train), options) {}
+
+AlsEngine::AlsEngine(CsrPair train, const AlsOptions& options)
     : options_(checked(options)) {
   CUMF_EXPECTS(options_.workers >= 1, "need at least one worker");
-  load_in_core(train, options_.workers);
+  load_in_core(std::move(train), options_.workers);
 }
 
 AlsEngine::AlsEngine(const RatingsCoo& train, const AlsOptions& options,
                      int gpus)
+    : AlsEngine(CsrPair::from_coo(train), options, gpus) {}
+
+AlsEngine::AlsEngine(CsrPair train, const AlsOptions& options, int gpus)
     : options_(checked(options)) {
   CUMF_EXPECTS(gpus >= 1, "need at least one GPU");
-  load_in_core(train, gpus);
+  load_in_core(std::move(train), gpus);
   // Device shards: nnz-balanced by default (hermitian work per row is
   // proportional to its nnz, so power-law degree skew would strand an
   // epoch behind the device that drew the head rows under a plain
@@ -167,17 +173,15 @@ AlsEngine::AlsEngine(const std::string& shard_dir, const AlsOptions& options,
               ooc.device_mem_bytes >= 2 * largest);
 }
 
-void AlsEngine::load_in_core(const RatingsCoo& train, int contexts) {
-  RatingsCoo canonical = train;
-  canonical.sort_and_dedup();
-  for (const Rating& e : canonical.entries()) {
-    CUMF_EXPECTS(std::isfinite(e.r), "ratings must be finite");
+void AlsEngine::load_in_core(CsrPair train, int contexts) {
+  for (const real_t r : train.r.values()) {
+    CUMF_EXPECTS(std::isfinite(r), "ratings must be finite");
   }
-  r_ = CsrMatrix::from_coo(canonical);
-  rt_ = r_.transposed();
-  // `canonical` is freed only after init() has allocated the factors:
-  // freeing it first raised cumf_train's peak RSS by the size of the copy.
-  init(r_.rows(), r_.cols(), canonical.mean_value(), contexts);
+  r_ = std::move(train.r);
+  rt_ = std::move(train.rt);
+  // mean_value() sums in (u, v) order, as ShardMeta::mean does, so the
+  // in-core and streamed warm starts match bit for bit.
+  init(r_.rows(), r_.cols(), r_.mean_value(), contexts);
 }
 
 void AlsEngine::init(index_t rows, index_t cols, double mean, int contexts) {

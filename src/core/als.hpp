@@ -195,6 +195,9 @@ class AlsEngine {
   /// In-core rows cut across `options.workers` host workers under
   /// `options.schedule`.
   AlsEngine(const RatingsCoo& train, const AlsOptions& options);
+  /// The same over a canonical pair the caller already built
+  /// (CsrPair::from_coo of the train ratings), taken over without a copy.
+  AlsEngine(CsrPair train, const AlsOptions& options);
 
   /// Runs one full epoch (update-X then update-Θ).
   void run_epoch();
@@ -273,6 +276,7 @@ class AlsEngine {
   /// nnz_guided, row-count under static_rows. Each device owns one worker
   /// context; `options.workers` is ignored.
   AlsEngine(const RatingsCoo& train, const AlsOptions& options, int gpus);
+  AlsEngine(CsrPair train, const AlsOptions& options, int gpus);
   /// Rows streamed from the shard store in `shard_dir`, each tile cut
   /// across `options.workers` host workers.
   AlsEngine(const std::string& shard_dir, const AlsOptions& options,
@@ -292,8 +296,8 @@ class AlsEngine {
   std::array<std::vector<RowRange>, 2> device_shards_;
 
  private:
-  /// Canonicalizes `train` into the in-core CSR pair, then init()s.
-  void load_in_core(const RatingsCoo& train, int contexts);
+  /// Takes `train` as the in-core row source, then init()s.
+  void load_in_core(CsrPair train, int contexts);
   /// Warm-starts the m×f / n×f factors and builds `contexts` worker
   /// contexts (plus a pool when there is more than one).
   void init(index_t rows, index_t cols, double mean, int contexts);

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include <algorithm>
+#include <utility>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
@@ -18,10 +19,9 @@ ImplicitAlsEngine::ImplicitAlsEngine(const ImplicitDataset& data,
   CUMF_EXPECTS(options_.f > 0, "latent dimension must be positive");
   CUMF_EXPECTS(options_.lambda > 0, "implicit ALS needs lambda > 0");
 
-  RatingsCoo canonical = data.interactions;
-  canonical.sort_and_dedup();
-  r_ = CsrMatrix::from_coo(canonical);
-  rt_ = r_.transposed();
+  CsrPair pair = CsrPair::from_coo(data.interactions);
+  r_ = std::move(pair.r);
+  rt_ = std::move(pair.rt);
 
   x_ = Matrix(r_.rows(), options_.f);
   theta_ = Matrix(r_.cols(), options_.f);

@@ -88,6 +88,8 @@ class MultiGpuAls : public AlsEngine {
  public:
   MultiGpuAls(const RatingsCoo& train, const AlsOptions& options, int gpus)
       : AlsEngine(train, options, gpus) {}
+  MultiGpuAls(CsrPair train, const AlsOptions& options, int gpus)
+      : AlsEngine(std::move(train), options, gpus) {}
 
   /// Device shard boundaries of the update-X rows (nnz-balanced under the
   /// default nnz_guided schedule; row-count split under static_rows).

@@ -31,9 +31,7 @@ Matrix get_matrix(ByteReader& r) {
   return m;
 }
 
-std::string render_payload(const TrainCheckpoint& ckpt) {
-  std::string payload;
-  ByteWriter w(payload);
+void render_payload(ByteWriter& w, const TrainCheckpoint& ckpt) {
   w.put<std::uint32_t>(ckpt.epoch);
   for (const std::uint64_t word : ckpt.rng.s) {
     w.put(word);
@@ -71,7 +69,6 @@ std::string render_payload(const TrainCheckpoint& ckpt) {
 
   put_matrix(w, ckpt.x);
   put_matrix(w, ckpt.theta);
-  return payload;
 }
 
 TrainCheckpoint parse_payload(std::string_view payload) {
@@ -124,7 +121,8 @@ TrainCheckpoint parse_payload(std::string_view payload) {
 }  // namespace
 
 std::string serialize_checkpoint(const TrainCheckpoint& ckpt) {
-  return frame(kCheckpointMagic, kCheckpointVersion, render_payload(ckpt));
+  return frame(kCheckpointMagic, kCheckpointVersion,
+               [&](ByteWriter& w) { render_payload(w, ckpt); });
 }
 
 TrainCheckpoint parse_checkpoint(std::string_view bytes) {

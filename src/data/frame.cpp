@@ -43,19 +43,26 @@ void reject(FrameReject reason, std::string_view what,
   throw FrameError(reason, message);
 }
 
-std::string frame(std::string_view magic, std::uint32_t version,
-                  std::string_view payload) {
+namespace detail {
+
+std::string open_frame(std::string_view magic, std::uint32_t version,
+                       std::size_t payload_bytes) {
   CUMF_EXPECTS(magic.size() == kMagicBytes, "frame magics are 8 bytes");
   std::string out;
-  out.reserve(kHeader + payload.size() + sizeof(std::uint32_t));
+  out.reserve(kHeader + payload_bytes + sizeof(std::uint32_t));
   out.append(magic);
   ByteWriter w(out);
   w.put(version);
-  w.put<std::uint64_t>(payload.size());
-  out.append(payload);
-  w.put(crc32(payload));
+  w.put<std::uint64_t>(payload_bytes);
   return out;
 }
+
+void close_frame(std::string& out) {
+  const std::uint32_t crc = crc32(std::string_view(out).substr(kHeader));
+  ByteWriter(out).put(crc);
+}
+
+}  // namespace detail
 
 std::string_view unframe(std::string_view magic, std::uint32_t version,
                          std::string_view bytes, std::string_view what) {

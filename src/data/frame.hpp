@@ -23,6 +23,7 @@
 #pragma once
 
 #include <bit>
+#include <concepts>
 #include <cstdint>
 #include <cstring>
 #include <ranges>
@@ -68,9 +69,74 @@ class FrameError : public CheckError {
 [[noreturn]] void reject(FrameReject reason, std::string_view what,
                          std::string_view detail);
 
-/// Renders magic | version | length | payload | CRC-32.
+/// Appends fixed-width scalars and arrays of them as their memory images;
+/// default-constructed, it only counts the bytes it would append.
+class ByteWriter {
+ public:
+  ByteWriter() = default;
+  explicit ByteWriter(std::string& out) : out_(&out) {}
+
+  template <typename T>
+  void put(T value) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    append(&value, sizeof(T));
+  }
+
+  /// The elements back to back, without a count.
+  template <std::ranges::contiguous_range R>
+  void put_array(const R& values) {
+    using T = std::ranges::range_value_t<R>;
+    static_assert(std::is_trivially_copyable_v<T>);
+    append(std::ranges::data(values), std::ranges::size(values) * sizeof(T));
+  }
+
+  /// The bytes appended (or counted) so far.
+  std::size_t bytes() const noexcept { return bytes_; }
+
+ private:
+  void append(const void* data, std::size_t n) {
+    bytes_ += n;
+    if (out_ != nullptr) {
+      out_->append(static_cast<const char*>(data), n);
+    }
+  }
+
+  std::string* out_ = nullptr;
+  std::size_t bytes_ = 0;
+};
+
+namespace detail {
+/// Starts a frame: magic | version | payload length, with room reserved
+/// for the payload and the CRC.
+std::string open_frame(std::string_view magic, std::uint32_t version,
+                       std::size_t payload_bytes);
+/// Appends the CRC-32 of the payload that follows open_frame's header.
+void close_frame(std::string& out);
+}  // namespace detail
+
+/// Renders magic | version | length | payload | CRC-32 in one buffer:
+/// `render(ByteWriter&)` runs once on a counting writer to size it, then
+/// writes the payload straight after the header, so no payload string is
+/// built and copied and each layout is stated once, in its renderer.
+template <std::invocable<ByteWriter&> Render>
 std::string frame(std::string_view magic, std::uint32_t version,
-                  std::string_view payload);
+                  Render&& render) {
+  ByteWriter size;
+  render(size);
+  std::string out = detail::open_frame(magic, version, size.bytes());
+  ByteWriter w(out);
+  render(w);
+  CUMF_EXPECTS(w.bytes() == size.bytes(),
+               "a frame renderer wrote what it counted");
+  detail::close_frame(out);
+  return out;
+}
+
+/// The frame of an already-rendered payload.
+inline std::string frame(std::string_view magic, std::uint32_t version,
+                         std::string_view payload) {
+  return frame(magic, version, [&](ByteWriter& w) { w.put_array(payload); });
+}
 
 /// Checks magic, version, length and CRC, in that order, and returns the
 /// payload as a view into `bytes`.
@@ -86,30 +152,6 @@ inline std::string read_file(const std::string& path) {
   read_file(path, out);
   return out;
 }
-
-/// Appends fixed-width scalars and arrays of them as their memory images.
-class ByteWriter {
- public:
-  explicit ByteWriter(std::string& out) : out_(out) {}
-
-  template <typename T>
-  void put(T value) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    out_.append(reinterpret_cast<const char*>(&value), sizeof(T));
-  }
-
-  /// The elements back to back, without a count.
-  template <std::ranges::contiguous_range R>
-  void put_array(const R& values) {
-    using T = std::ranges::range_value_t<R>;
-    static_assert(std::is_trivially_copyable_v<T>);
-    out_.append(reinterpret_cast<const char*>(std::ranges::data(values)),
-                std::ranges::size(values) * sizeof(T));
-  }
-
- private:
-  std::string& out_;
-};
 
 /// Bounds-checked cursor over a payload: a read past its end is a torn
 /// write (truncated), named after the file `what`.

@@ -9,6 +9,9 @@
 // shortest round-trip decimals (std::to_chars) and parsed with
 // std::from_chars, so the round trip is bit-exact, locale-independent, and
 // survives non-finite values; a served model is exactly the trained model.
+// No iostream formats or parses a value: a model renders into one buffer
+// reserved up front, and both readers run one tokenizer over a fixed 64 KiB
+// buffer, so reading never holds the whole file.
 #pragma once
 
 #include <iosfwd>
@@ -19,7 +22,6 @@
 namespace cumf {
 
 void write_matrix(std::ostream& os, const Matrix& matrix);
-Matrix read_matrix(std::istream& is);
 
 struct FactorModel {
   Matrix x;      ///< m×f user factors
@@ -30,7 +32,8 @@ void write_model(std::ostream& os, const FactorModel& model);
 void write_model_file(const std::string& path, const FactorModel& model);
 
 /// Throws CheckError on malformed input (bad magic, truncated data,
-/// mismatched latent dimensions between the two matrices).
+/// mismatched latent dimensions between the two matrices). Reads `is` in
+/// buffer-sized blocks, so it may consume bytes past the model's end.
 FactorModel read_model(std::istream& is);
 FactorModel read_model_file(const std::string& path);
 

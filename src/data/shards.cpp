@@ -18,19 +18,25 @@ namespace {
 constexpr std::string_view kMetaWhat = "shard meta";
 constexpr std::string_view kTestWhat = "shard test set";
 
-std::string render_tile_payload(const CsrTile& tile) {
-  std::string payload;
-  ByteWriter w(payload);
-  w.put<std::uint8_t>(static_cast<std::uint8_t>(tile.view));
-  w.put<std::uint32_t>(tile.index);
-  w.put<std::uint32_t>(tile.row_begin);
-  w.put<std::uint32_t>(tile.row_end);
-  w.put<std::uint32_t>(tile.csr.cols());
-  w.put<std::uint64_t>(tile.csr.nnz());
-  w.put_array(tile.csr.row_ptr());
-  w.put_array(tile.csr.col_idx());
-  w.put_array(tile.csr.values());
-  return payload;
+/// The tile payload of rows [begin, end) of `csr`, written straight from
+/// the view: row_ptr rebased to start at 0, col_idx/values verbatim
+/// (columns stay global ids).
+void render_tile_payload(ByteWriter& w, TileView view, std::uint32_t index,
+                         const CsrMatrix& csr, index_t begin, index_t end) {
+  const std::vector<nnz_t>& ptr = csr.row_ptr();
+  const nnz_t lo = ptr[begin];
+  const nnz_t hi = ptr[end];
+  w.put<std::uint8_t>(static_cast<std::uint8_t>(view));
+  w.put<std::uint32_t>(index);
+  w.put<std::uint32_t>(begin);
+  w.put<std::uint32_t>(end);
+  w.put<std::uint32_t>(csr.cols());
+  w.put<std::uint64_t>(hi - lo);
+  for (index_t u = begin; u <= end; ++u) {
+    w.put<std::uint64_t>(ptr[u] - lo);
+  }
+  w.put_array(std::span(csr.col_idx()).subspan(lo, hi - lo));
+  w.put_array(std::span(csr.values()).subspan(lo, hi - lo));
 }
 
 CsrTile parse_tile_payload(std::string_view payload, std::string_view what) {
@@ -98,9 +104,7 @@ std::vector<TileRange> get_tile_table(ByteReader& r) {
   return tiles;
 }
 
-std::string render_meta_payload(const ShardMeta& meta) {
-  std::string payload;
-  ByteWriter w(payload);
+void render_meta_payload(ByteWriter& w, const ShardMeta& meta) {
   w.put<std::uint32_t>(meta.rows);
   w.put<std::uint32_t>(meta.cols);
   w.put<std::uint64_t>(meta.train_nnz);
@@ -110,7 +114,6 @@ std::string render_meta_payload(const ShardMeta& meta) {
   w.put<std::uint64_t>(meta.seed);
   put_tile_table(w, meta.row_tiles);
   put_tile_table(w, meta.col_tiles);
-  return payload;
 }
 
 ShardMeta parse_meta_payload(std::string_view payload) {
@@ -129,9 +132,7 @@ ShardMeta parse_meta_payload(std::string_view payload) {
   return meta;
 }
 
-std::string render_test_payload(const RatingsCoo& test) {
-  std::string payload;
-  ByteWriter w(payload);
+void render_test_payload(ByteWriter& w, const RatingsCoo& test) {
   w.put<std::uint32_t>(test.rows());
   w.put<std::uint32_t>(test.cols());
   w.put<std::uint64_t>(test.nnz());
@@ -140,7 +141,6 @@ std::string render_test_payload(const RatingsCoo& test) {
     w.put<std::uint32_t>(e.v);
     w.put(e.r);
   }
-  return payload;
 }
 
 RatingsCoo parse_test_payload(std::string_view payload) {
@@ -174,32 +174,14 @@ std::vector<TileRange> write_view_tiles(const std::string& dir,
   for (std::size_t t = 0; t + 1 < bounds.size(); ++t) {
     const auto begin = static_cast<index_t>(bounds[t]);
     const auto end = static_cast<index_t>(bounds[t + 1]);
-    CsrTile tile;
-    tile.view = view;
-    tile.index = static_cast<std::uint32_t>(t);
-    tile.row_begin = begin;
-    tile.row_end = end;
-    // Rebase the row range to a local CSR: row_ptr shifts to start at 0,
-    // col_idx/values are copied verbatim (columns stay global ids).
-    const std::vector<nnz_t>& ptr = csr.row_ptr();
-    const nnz_t lo = ptr[begin];
-    const nnz_t hi = ptr[end];
-    std::vector<nnz_t> row_ptr;
-    row_ptr.reserve(static_cast<std::size_t>(end - begin) + 1);
-    for (index_t u = begin; u <= end; ++u) {
-      row_ptr.push_back(ptr[u] - lo);
-    }
-    std::vector<index_t> col_idx(csr.col_idx().begin() + lo,
-                                 csr.col_idx().begin() + hi);
-    std::vector<real_t> values(csr.values().begin() + lo,
-                               csr.values().begin() + hi);
-    tile.csr = CsrMatrix::from_parts(end - begin, csr.cols(),
-                                     std::move(row_ptr), std::move(col_idx),
-                                     std::move(values));
     const std::string bytes =
-        frame(kTileMagic, kShardVersion, render_tile_payload(tile));
+        frame(kTileMagic, kShardVersion, [&](ByteWriter& w) {
+          render_tile_payload(w, view, static_cast<std::uint32_t>(t), csr,
+                              begin, end);
+        });
     atomic_write_file(tile_path(dir, view, t), bytes);
-    table.push_back(TileRange{begin, end, tile.csr.nnz(),
+    table.push_back(TileRange{begin, end,
+                              csr.row_ptr()[end] - csr.row_ptr()[begin],
                               static_cast<std::uint64_t>(bytes.size())});
   }
   return table;
@@ -237,35 +219,38 @@ ShardMeta write_shards(const std::string& dir, const RatingsCoo& all,
   // partition and warm-start mean an in-core run of the same seed computes.
   Rng rng(options.seed);
   TrainTestSplit split = split_holdout(all, options.test_fraction, rng);
-  RatingsCoo canonical = std::move(split.train);
-  canonical.sort_and_dedup();
-  for (const Rating& e : canonical.entries()) {
-    CUMF_EXPECTS(std::isfinite(e.r), "ratings must be finite");
+  const CsrPair pair = CsrPair::from_coo(split.train);
+  split.train = RatingsCoo();
+  const CsrMatrix& csr = pair.r;
+  for (const real_t r : csr.values()) {
+    CUMF_EXPECTS(std::isfinite(r), "ratings must be finite");
   }
-  const CsrMatrix csr = CsrMatrix::from_coo(canonical);
-  const CsrMatrix csr_t = csr.transposed();
 
   ShardMeta meta;
   meta.rows = csr.rows();
   meta.cols = csr.cols();
   meta.train_nnz = csr.nnz();
   meta.test_nnz = split.test.nnz();
-  meta.mean = canonical.mean_value();
+  meta.mean = csr.mean_value();
   meta.test_fraction = options.test_fraction;
   meta.seed = options.seed;
   meta.row_tiles = write_view_tiles(dir, TileView::by_row, csr,
                                     options.tiles);
-  meta.col_tiles = write_view_tiles(dir, TileView::by_col, csr_t,
+  meta.col_tiles = write_view_tiles(dir, TileView::by_col, pair.rt,
                                     options.tiles);
 
   const std::string test_file =
       (std::filesystem::path(dir) / kShardTestFile).string();
-  atomic_write_file(test_file, frame(kShardTestMagic, kShardVersion,
-                                    render_test_payload(split.test)));
+  atomic_write_file(
+      test_file,
+      frame(kShardTestMagic, kShardVersion,
+            [&](ByteWriter& w) { render_test_payload(w, split.test); }));
   const std::string meta_file =
       (std::filesystem::path(dir) / kShardMetaFile).string();
-  atomic_write_file(meta_file, frame(kShardMetaMagic, kShardVersion,
-                                    render_meta_payload(meta)));
+  atomic_write_file(
+      meta_file,
+      frame(kShardMetaMagic, kShardVersion,
+            [&](ByteWriter& w) { render_meta_payload(w, meta); }));
   return meta;
 }
 

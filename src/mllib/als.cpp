@@ -7,11 +7,10 @@
 namespace cumf::mllib {
 
 AlsModel::AlsModel(Matrix user_factors, Matrix item_factors,
-                   RatingsCoo train)
+                   const RatingsCoo& train)
     : user_factors_(std::move(user_factors)),
-      item_factors_(std::move(item_factors)) {
-  train.sort_and_dedup();
-  seen_ = CsrMatrix::from_coo(train);
+      item_factors_(std::move(item_factors)),
+      seen_(CsrMatrix::from_coo(train)) {
   CUMF_EXPECTS(user_factors_.cols() == item_factors_.cols(),
                "factor rank mismatch");
   CUMF_EXPECTS(user_factors_.rows() == seen_.rows() &&

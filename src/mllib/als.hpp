@@ -24,7 +24,7 @@ namespace cumf::mllib {
 
 class AlsModel {
  public:
-  AlsModel(Matrix user_factors, Matrix item_factors, RatingsCoo train);
+  AlsModel(Matrix user_factors, Matrix item_factors, const RatingsCoo& train);
 
   /// Spark's transform on a single (user, item) pair.
   real_t predict(index_t user, index_t item) const;

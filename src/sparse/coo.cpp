@@ -1,8 +1,7 @@
 #include "sparse/coo.hpp"
 
-#include <algorithm>
-
 #include "common/check.hpp"
+#include "sparse/canonical.hpp"
 
 namespace cumf {
 
@@ -18,33 +17,10 @@ void RatingsCoo::add(index_t u, index_t v, real_t r) {
   entries_.push_back(Rating{u, v, r});
 }
 
-namespace {
-bool coord_less(const Rating& a, const Rating& b) noexcept {
-  return a.u != b.u ? a.u < b.u : a.v < b.v;
-}
-}  // namespace
-
-void RatingsCoo::sort_and_dedup() {
-  std::sort(entries_.begin(), entries_.end(), coord_less);
-  std::size_t out = 0;
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    if (out > 0 && entries_[out - 1].u == entries_[i].u &&
-        entries_[out - 1].v == entries_[i].v) {
-      entries_[out - 1].r += entries_[i].r;
-    } else {
-      entries_[out++] = entries_[i];
-    }
-  }
-  entries_.resize(out);
-}
+void RatingsCoo::sort_and_dedup() { canonicalize(entries_, m_, n_); }
 
 bool RatingsCoo::is_canonical() const noexcept {
-  for (std::size_t i = 1; i < entries_.size(); ++i) {
-    if (!coord_less(entries_[i - 1], entries_[i])) {
-      return false;
-    }
-  }
-  return true;
+  return cumf::is_canonical(entries_);
 }
 
 double RatingsCoo::mean_value() const noexcept {

@@ -18,7 +18,8 @@ struct Rating {
 };
 
 /// A sparse m×n matrix in coordinate form. Entries may be unsorted; call
-/// sort_and_dedup() to canonicalize (row-major order, duplicates summed).
+/// sort_and_dedup() to canonicalize (row-major order, the latest entry of
+/// a duplicated coordinate kept).
 class RatingsCoo {
  public:
   RatingsCoo() = default;
@@ -35,7 +36,8 @@ class RatingsCoo {
   /// Appends one entry. Indices are validated against the matrix shape.
   void add(index_t u, index_t v, real_t r);
 
-  /// Sorts row-major and sums duplicate coordinates.
+  /// Sorts row-major and keeps only the latest entry (highest position) of
+  /// each duplicated coordinate, in O(nnz + m + n) (sparse/canonical.hpp).
   void sort_and_dedup();
 
   /// True if entries are sorted row-major with no duplicate coordinates.

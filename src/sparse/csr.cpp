@@ -1,50 +1,22 @@
 #include "sparse/csr.hpp"
 
-#include <algorithm>
-
 #include "common/check.hpp"
+#include "sparse/canonical.hpp"
 
 namespace cumf {
 
-CsrMatrix CsrMatrix::from_coo(const RatingsCoo& coo) {
-  CsrMatrix csr;
-  csr.m_ = coo.rows();
-  csr.n_ = coo.cols();
-  csr.row_ptr_.assign(static_cast<std::size_t>(csr.m_) + 1, 0);
-  csr.col_idx_.resize(coo.nnz());
-  csr.values_.resize(coo.nnz());
+CsrMatrix::CsrMatrix(index_t rows, index_t cols, CsrArrays&& arrays)
+    : m_(rows),
+      n_(cols),
+      row_ptr_(std::move(arrays.ptr)),
+      col_idx_(std::move(arrays.idx)),
+      values_(std::move(arrays.val)) {}
 
-  // Counting sort by row: stable, O(nnz + m), no global sort needed.
-  for (const Rating& e : coo.entries()) {
-    ++csr.row_ptr_[e.u + 1];
-  }
-  for (index_t u = 0; u < csr.m_; ++u) {
-    csr.row_ptr_[u + 1] += csr.row_ptr_[u];
-  }
-  std::vector<nnz_t> cursor(csr.row_ptr_.begin(), csr.row_ptr_.end() - 1);
-  for (const Rating& e : coo.entries()) {
-    const nnz_t at = cursor[e.u]++;
-    csr.col_idx_[at] = e.v;
-    csr.values_[at] = e.r;
-  }
-  // Sort columns within each row so binary lookups / merges are possible.
-  for (index_t u = 0; u < csr.m_; ++u) {
-    const nnz_t lo = csr.row_ptr_[u];
-    const nnz_t hi = csr.row_ptr_[u + 1];
-    // Sort (col, val) pairs by column using an index permutation.
-    std::vector<std::pair<index_t, real_t>> row;
-    row.reserve(hi - lo);
-    for (nnz_t k = lo; k < hi; ++k) {
-      row.emplace_back(csr.col_idx_[k], csr.values_[k]);
-    }
-    std::sort(row.begin(), row.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (nnz_t k = lo; k < hi; ++k) {
-      csr.col_idx_[k] = row[k - lo].first;
-      csr.values_[k] = row[k - lo].second;
-    }
-  }
-  return csr;
+CsrMatrix CsrMatrix::from_coo(const RatingsCoo& coo) {
+  CsrArrays out;
+  CsrArrays scratch;
+  canonicalize(coo.entries(), coo.rows(), coo.cols(), out, scratch);
+  return CsrMatrix(coo.rows(), coo.cols(), std::move(out));
 }
 
 CsrMatrix CsrMatrix::from_parts(index_t rows, index_t cols,
@@ -88,30 +60,33 @@ index_t CsrMatrix::row_nnz(index_t u) const {
   return static_cast<index_t>(row_ptr_[u + 1] - row_ptr_[u]);
 }
 
-CsrMatrix CsrMatrix::transposed() const {
-  CsrMatrix t;
-  t.m_ = n_;
-  t.n_ = m_;
-  t.row_ptr_.assign(static_cast<std::size_t>(t.m_) + 1, 0);
-  t.col_idx_.resize(values_.size());
-  t.values_.resize(values_.size());
+double CsrMatrix::mean_value() const noexcept {
+  if (values_.empty()) {
+    return 0.0;
+  }
+  double sum = 0.0;
+  for (const real_t r : values_) {
+    sum += static_cast<double>(r);
+  }
+  return sum / static_cast<double>(values_.size());
+}
 
-  for (const index_t v : col_idx_) {
-    ++t.row_ptr_[v + 1];
-  }
-  for (index_t v = 0; v < t.m_; ++v) {
-    t.row_ptr_[v + 1] += t.row_ptr_[v];
-  }
-  std::vector<nnz_t> cursor(t.row_ptr_.begin(), t.row_ptr_.end() - 1);
-  for (index_t u = 0; u < m_; ++u) {
-    for (nnz_t k = row_ptr_[u]; k < row_ptr_[u + 1]; ++k) {
-      const index_t v = col_idx_[k];
-      const nnz_t at = cursor[v]++;
-      t.col_idx_[at] = u;  // already ascending because u is ascending
-      t.values_[at] = values_[k];
-    }
-  }
-  return t;
+CsrMatrix CsrMatrix::transposed() const {
+  CsrArrays t;
+  transpose(row_ptr_, col_idx_, values_, n_, t);
+  return CsrMatrix(n_, m_, std::move(t));
+}
+
+CsrPair CsrPair::from_coo(const RatingsCoo& coo) {
+  // The by-column scratch of the canonicalizer becomes the transpose.
+  CsrArrays r;
+  CsrArrays t;
+  canonicalize(coo.entries(), coo.rows(), coo.cols(), r, t);
+  transpose(r.ptr, r.idx, r.val, coo.cols(), t);
+  CsrPair pair;
+  pair.r = CsrMatrix(coo.rows(), coo.cols(), std::move(r));
+  pair.rt = CsrMatrix(coo.cols(), coo.rows(), std::move(t));
+  return pair;
 }
 
 }  // namespace cumf

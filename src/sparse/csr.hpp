@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "sparse/canonical.hpp"
 #include "sparse/coo.hpp"
 
 namespace cumf {
@@ -17,8 +18,8 @@ class CsrMatrix {
  public:
   CsrMatrix() = default;
 
-  /// Builds from coordinate form. The input need not be sorted; duplicates
-  /// must already have been merged (use RatingsCoo::sort_and_dedup).
+  /// Builds the canonical CSR of `coo` (sparse/canonical.hpp): the input
+  /// need not be sorted, and a duplicated coordinate keeps its latest entry.
   static CsrMatrix from_coo(const RatingsCoo& coo);
 
   /// Adopts pre-built CSR arrays (the out-of-core tile reader decodes
@@ -46,15 +47,34 @@ class CsrMatrix {
   const std::vector<index_t>& col_idx() const noexcept { return col_idx_; }
   const std::vector<real_t>& values() const noexcept { return values_; }
 
+  /// Mean of the stored values, summed in storage order — for a
+  /// from_coo matrix the (u, v) order RatingsCoo::mean_value() sums a
+  /// canonical COO in, so both give the same bits (0 if empty).
+  double mean_value() const noexcept;
+
   /// R → Rᵀ (i.e. the CSC view of R expressed as a CSR matrix).
   CsrMatrix transposed() const;
 
  private:
+  friend struct CsrPair;
+  /// Adopts arrays the canonicalizer built (no re-validation).
+  CsrMatrix(index_t rows, index_t cols, CsrArrays&& arrays);
+
   index_t m_ = 0;
   index_t n_ = 0;
   std::vector<nnz_t> row_ptr_;    // size m+1
   std::vector<index_t> col_idx_;  // size nnz
   std::vector<real_t> values_;    // size nnz
+};
+
+/// Both views an ALS sweep reads: `r` by row (update-X) and `rt` = Rᵀ by
+/// row (update-Θ), built once and handed to whichever consumers need them.
+struct CsrPair {
+  CsrMatrix r;
+  CsrMatrix rt;
+
+  /// Canonicalizes `coo` (CsrMatrix::from_coo) and transposes the result.
+  static CsrPair from_coo(const RatingsCoo& coo);
 };
 
 }  // namespace cumf

@@ -11,6 +11,10 @@ TrainTestSplit split_holdout(const RatingsCoo& all, double test_fraction,
   TrainTestSplit out;
   out.train = RatingsCoo(all.rows(), all.cols());
   out.test = RatingsCoo(all.rows(), all.cols());
+  // Room for every entry on both sides, so neither regrows and copies;
+  // pages past the entries a side receives are never touched.
+  out.train.entries().reserve(all.nnz());
+  out.test.entries().reserve(all.nnz());
 
   std::vector<index_t> row_remaining(all.rows(), 0);
   std::vector<index_t> col_remaining(all.cols(), 0);

@@ -572,25 +572,26 @@ TEST(Loaders, FileLoaderReadsEveryLineAcrossBlocks) {
   // The loader reads in 1 MiB blocks with in-place line slicing; it must
   // return every entry in order from a file big enough to straddle several
   // block boundaries, with CRLF endings, comments, and no trailing newline
-  // on the last line.
+  // on the last line. Every line has its own coordinate, so none is dropped
+  // as an earlier duplicate.
   std::ostringstream content;
   std::vector<Rating> expected;
   content << "# header comment\r\n";
   for (int i = 0; i < 130000; ++i) {
-    const Rating e{static_cast<index_t>(i % 311), static_cast<index_t>(i % 97),
+    const Rating e{static_cast<index_t>(i % 311), static_cast<index_t>(i / 311),
                    static_cast<real_t>(1.0 + i % 9 * 0.5)};
     content << e.u << ' ' << e.v << ' ' << e.r
             << (i % 7 == 0 ? "\r\n" : "\n");
     expected.push_back(e);
   }
-  content << "5 5 2.5";  // no trailing newline
-  expected.push_back(Rating{5, 5, 2.5f});
+  content << "5 418 2.5";  // no trailing newline
+  expected.push_back(Rating{5, 418, 2.5f});
   const std::string text = content.str();
   ASSERT_GT(text.size(), std::size_t{1} << 20);
 
   const RatingsCoo from_file = load_text(text, LoaderOptions{});
   EXPECT_EQ(from_file.rows(), 311u);
-  EXPECT_EQ(from_file.cols(), 97u);
+  EXPECT_EQ(from_file.cols(), 419u);
   ASSERT_EQ(from_file.nnz(), expected.size());
   for (std::size_t i = 0; i < expected.size(); ++i) {
     ASSERT_EQ(from_file.entries()[i].u, expected[i].u) << i;
@@ -614,6 +615,30 @@ TEST(Loaders, FileLoaderNamesTheMalformedLine) {
         << e.what();
   }
   std::filesystem::remove(path);
+}
+
+TEST(Loaders, RejectsIdsPastTheIndexRange) {
+  // 4294967296 used to load as user 0 of a 2 x 3 matrix, and 4294967295
+  // wrapped the dimension (max id + 1) into a precondition failure that
+  // named no line.
+  for (const std::string line :
+       {"4294967296 1 3.5", "4294967295 1 3.5", "1 4294967295 3.5"}) {
+    try {
+      load_text(line + "\n", LoaderOptions{});
+      ADD_FAILURE() << "'" << line << "' must be rejected";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("malformed rating on line 1: '" +
+                                           line + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // The largest ids that fit make a 2^32 - 1 dimension.
+  EXPECT_EQ(load_text("4294967294 1 3.5\n", LoaderOptions{}).rows(),
+            4294967295u);
+  LoaderOptions one_based;
+  one_based.one_based = true;
+  EXPECT_EQ(load_text("1 4294967295 3.5\n", one_based).cols(), 4294967295u);
 }
 
 TEST(Loaders, RoundTripsThroughOwnWriter) {

@@ -56,7 +56,7 @@ TEST(Coo, SortAndDedupMergesDuplicates) {
   coo.sort_and_dedup();
   EXPECT_TRUE(coo.is_canonical());
   ASSERT_EQ(coo.nnz(), 2u);
-  EXPECT_EQ(coo.entries()[1].r, 5.0f);  // 2 + 3 summed
+  EXPECT_EQ(coo.entries()[1].r, 3.0f);  // the latest entry of (1, 1) wins
 }
 
 TEST(Coo, MeanValue) {

@@ -149,15 +149,14 @@ int main(int argc, char** argv) {
 
     FactorModel model = load_model_any(model_path);
     auto loaded = load_ratings_file(ratings_path, LoaderOptions{});
-    loaded.sort_and_dedup();
     // Rebuild the seen matrix on the model's shape (the ratings file's
     // inferred shape may be smaller if trailing users/items are unrated).
     CUMF_EXPECTS(loaded.rows() <= model.x.rows() &&
                      loaded.cols() <= model.theta.rows(),
                  "ratings file exceeds the model's shape");
-    RatingsCoo shaped(static_cast<index_t>(model.x.rows()),
-                      static_cast<index_t>(model.theta.rows()),
-                      loaded.entries());
+    const RatingsCoo shaped(static_cast<index_t>(model.x.rows()),
+                            static_cast<index_t>(model.theta.rows()),
+                            std::move(loaded.entries()));
     const auto seen = CsrMatrix::from_coo(shaped);
 
     serve::ServeEngine engine(std::move(model), seen, options);

@@ -115,9 +115,15 @@ int cmd_build(int argc, char** argv) {
 
   std::printf("loading %s...\n", ratings_path.c_str());
   Stopwatch sw;
-  const RatingsCoo all = load_ratings_file(ratings_path, loader);
-  std::printf("  %u x %u, %" PRIu64 " ratings in %.3f s\n", all.rows(),
-              all.cols(), static_cast<std::uint64_t>(all.nnz()), sw.seconds());
+  nnz_t dropped = 0;
+  const RatingsCoo all = load_ratings_file(ratings_path, loader, &dropped);
+  std::printf("  %u x %u, %" PRIu64 " ratings", all.rows(), all.cols(),
+              static_cast<std::uint64_t>(all.nnz()));
+  if (dropped != 0) {
+    std::printf(" (%" PRIu64 " earlier duplicates dropped, latest kept)",
+                static_cast<std::uint64_t>(dropped));
+  }
+  std::printf(" in %.3f s\n", sw.seconds());
 
   Stopwatch shard_sw;
   const ShardMeta meta = write_shards(dir, all, options);

@@ -1020,15 +1020,21 @@ int cmd_train(int argc, char** argv) {
   } else {
     std::printf("loading %s...\n", ratings_path.c_str());
     Stopwatch load_sw;
-    ratings = load_ratings_file(ratings_path, loader);
+    nnz_t dropped = 0;
+    ratings = load_ratings_file(ratings_path, loader, &dropped);
     load_seconds = load_sw.seconds();
     std::error_code ec;
     load_bytes = std::filesystem::file_size(ratings_path, ec);
     if (ec) {
       load_bytes = 0;
     }
-    std::printf("  %u x %u, %llu ratings\n", ratings.rows(), ratings.cols(),
+    std::printf("  %u x %u, %llu ratings", ratings.rows(), ratings.cols(),
                 static_cast<unsigned long long>(ratings.nnz()));
+    if (dropped != 0) {
+      std::printf(" (%llu earlier duplicates dropped, latest kept)",
+                  static_cast<unsigned long long>(dropped));
+    }
+    std::printf("\n");
   }
 
   // --auto-tune: load the tuned config keyed by this run's device x dataset
@@ -1130,6 +1136,7 @@ int cmd_train(int argc, char** argv) {
     split.train = RatingsCoo(shard_meta->rows, shard_meta->cols);
     split.test = read_shard_test(shard_dir);
   } else if (test_fraction > 0) {
+    CUMF_PROF_SCOPE("split", "data");
     split = split_holdout(ratings, test_fraction, rng);
   } else {
     split = TrainTestSplit{ratings,
@@ -1141,13 +1148,20 @@ int cmd_train(int argc, char** argv) {
   // bit, so compute it whenever either consumer is active. Both update
   // directions pack an A (user rows and item rows), so both sides must be
   // safe.
+  //
+  // The canonical CSR pair of the train split is built once, here, and the
+  // in-core explicit engines take it over; the range pass reads it first.
+  const bool in_core_explicit = !ooc && !implicit_alpha;
+  std::optional<CsrPair> train_pair;
+  if (in_core_explicit || run_cuverify || !metrics_path.empty()) {
+    CUMF_PROF_SCOPE("canonicalize", "sparse");
+    train_pair = CsrPair::from_coo(split.train);
+  }
   bool predicted_fp16_safe = true;
   if (run_cuverify || !metrics_path.empty()) {
     namespace cuv = analysis::cuverify;
-    auto train_sorted = split.train;
-    train_sorted.sort_and_dedup();
-    const auto csr = CsrMatrix::from_coo(train_sorted);
-    const auto csr_t = csr.transposed();
+    const CsrMatrix& csr = train_pair->r;
+    const CsrMatrix& csr_t = train_pair->rt;
 
     cuv::Fp16RangeOptions range;
     range.f = static_cast<std::size_t>(f);
@@ -1306,7 +1320,7 @@ int cmd_train(int argc, char** argv) {
       rc = run_explicit(engine, modeled, cfg, ratings, split, rng, model,
                         final_stats, summary);
     } else if (gpus >= 1) {
-      MultiGpuAls engine(split.train, options, gpus);
+      MultiGpuAls engine(std::move(*train_pair), options, gpus);
       // Cost-model compute per shard plus the ring all-gather over the
       // chosen link, with pipelined overlap.
       {
@@ -1331,7 +1345,7 @@ int cmd_train(int argc, char** argv) {
       rc = run_explicit(engine, modeled, cfg, ratings, split, rng, model,
                         final_stats, summary);
     } else {
-      AlsEngine engine(split.train, options);
+      AlsEngine engine(std::move(*train_pair), options);
       rc = run_explicit(engine, modeled, cfg, ratings, split, rng, model,
                         final_stats, summary);
     }
@@ -1351,7 +1365,10 @@ int cmd_train(int argc, char** argv) {
                 static_cast<unsigned long long>(fc.fp16_overflow.load()));
   }
 
-  write_model_file(model_path, model);
+  {
+    CUMF_PROF_SCOPE("model_write", "data");
+    write_model_file(model_path, model);
+  }
   std::printf("model written to %s\n", model_path.c_str());
 
   if (!trace_path.empty()) {
@@ -1441,7 +1458,7 @@ int cmd_recommend(int argc, char** argv) {
     usage();
   }
   const auto model = read_model_file(argv[2]);
-  auto ratings = load_ratings_file(argv[3], LoaderOptions{});
+  const auto ratings = load_ratings_file(argv[3], LoaderOptions{});
   const auto user = static_cast<index_t>(cli::parse_uint(
       kTool, "<user>", argv[4], 0, std::numeric_limits<index_t>::max()));
   std::size_t k = 10;
@@ -1451,7 +1468,6 @@ int cmd_recommend(int argc, char** argv) {
           cli::parse_uint(kTool, "-k", argv[i + 1], 1, 1000000));
     }
   }
-  ratings.sort_and_dedup();
   const auto seen = CsrMatrix::from_coo(ratings);
   CUMF_EXPECTS(user < seen.rows(), "user outside the dataset");
   for (const auto& item :
